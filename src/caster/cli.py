@@ -69,8 +69,6 @@ DEFAULTS = {
     "split": "7:1:2",
     "split_mode": "ratio",
     "fold_index": 0,
-    "refine_steps": 0,
-    "refine_lr": 0.1,
     "dtype": "float64",
     "f1_threshold": 0.5,
 }
@@ -78,9 +76,9 @@ DEFAULTS = {
 _CASTS = {
     "min_freq": int, "max_merges": int, "latent_dim": int, "batch_size": int,
     "pretrain_epochs": int, "max_epochs": int, "patience": int, "fold_index": int,
-    "refine_steps": int, "seed": int,
+    "seed": int,
     "alpha": float, "beta": float, "gamma": float, "lambda1": float, "lambda2": float,
-    "magnifier": float, "lr": float, "refine_lr": float, "f1_threshold": float,
+    "magnifier": float, "lr": float, "f1_threshold": float,
 }
 
 
@@ -151,7 +149,7 @@ def _parse_split(text: str) -> tuple[float, float, float]:
 
 _MODEL_KEYS = (
     "latent_dim", "encoder_hidden", "decoder_hidden", "predictor_hidden",
-    "magnifier", "refine_steps", "refine_lr", "dtype",
+    "magnifier", "dtype",
 )
 _WEIGHT_KEYS = ("alpha", "beta", "gamma", "lambda1", "lambda2")
 _TRAIN_KEYS = (
@@ -167,8 +165,6 @@ def _model_config(s: Settings) -> ModelConfig:
         decoder_hidden=_parse_hidden(s.get("decoder_hidden")),
         predictor_hidden=_parse_hidden(s.get("predictor_hidden")),
         magnifier=s.get("magnifier"),
-        projection_refine_steps=s.get("refine_steps"),
-        projection_refine_lr=s.get("refine_lr"),
         dtype=s.get("dtype"),
     )
 
@@ -336,8 +332,6 @@ def _add_hyper(p: argparse.ArgumentParser) -> None:
     p.add_argument("--split", help="train:val:test ratio, e.g. 7:1:2")
     p.add_argument("--split-mode", dest="split_mode", help="'ratio' or 'folds:<n>'")
     p.add_argument("--fold-index", type=int, dest="fold_index")
-    p.add_argument("--refine-steps", type=int, dest="refine_steps")
-    p.add_argument("--refine-lr", type=float, dest="refine_lr")
     p.add_argument("--dtype", choices=("float64", "float32"))
 
 

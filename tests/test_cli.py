@@ -141,6 +141,15 @@ class TestPipeline:
                    "--pairs", str(root / "unlabelled.tsv"), "--out", str(tmp_path / "s.tsv")])
         assert rc == 2
 
+    def test_v1_text_checkpoint_exits_2(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        old = tmp_path / "old.ckpt"
+        old.write_text("caster-ckpt v1\nk=10\nd=3\n")
+        rc = main(["predict", "--vocab", str(root / "vocab.txt"), "--checkpoint", str(old),
+                   "--pairs", str(root / "unlabelled.tsv"), "--out", str(tmp_path / "s.tsv")])
+        assert rc == 2
+        assert "v1 text checkpoint" in capsys.readouterr().err
+
     def test_config_file_and_flag_precedence(self, workspace, tmp_path):
         root, _ = workspace
         conf = tmp_path / "run.conf"
