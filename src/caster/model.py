@@ -22,12 +22,11 @@ import zlib
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, get_blas_funcs
 
 from . import metrics
 from .corpus import PairCorpus
 from .featurize import featurize_pairs, functional_representation
-from .nn import MLP, Adam, merge_grads, sigmoid
+from .nn import MLP, Adam, Identity, merge_grads, sigmoid
 from .spm import Vocabulary
 
 log = logging.getLogger(__name__)
@@ -143,21 +142,32 @@ def projection_loss(z, B, r, lambda1: float, lambda2: float) -> float:
 # Ridge projection
 # ---------------------------------------------------------------------------
 
+def cho_factor(M: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of the symmetric positive-definite M."""
+    return np.linalg.cholesky(M)
+
+
+def cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(L L^T)^{-1} rhs for a factor L from `cho_factor`."""
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+
+
 def _dual_solve(Z: np.ndarray, B: np.ndarray, lambda1: float):
     """W = (B B^T + lambda1 I)^{-1} Z^T for a batch Z (n, d), and the factor.
 
-    Returns W (d, n), sharpened by one residual-correction pass, and the
-    Cholesky factor of the d x d system for solves in the backward pass.
+    The d x d system is formed, factored and solved in float64 whatever
+    B's dtype (in float32, rounding in B B^T can exceed a small lambda1),
+    and W is sharpened by one residual-correction pass.  Returns W (d, n)
+    in B's dtype and the Cholesky factor, for the solves of the backward
+    pass.  Every call runs on numpy's BLAS and LAPACK (see "One BLAS" in
+    the README).
     """
-    M = B @ B.T + lambda1 * np.eye(B.shape[0], dtype=B.dtype)
+    B64 = B.astype(np.float64, copy=False)
+    M = B64 @ B64.T + lambda1 * np.eye(B.shape[0])
     factor = cho_factor(M)
     W = cho_solve(factor, Z.T)
-    # The residual goes through scipy's BLAS, as the solves do: numpy's wheel
-    # bundles a separate OpenBLAS, and switching thread pools for this small
-    # product cost ~12 ms per paper-scale training step on 2 cores.
-    gemm = get_blas_funcs("gemm", (M, W))
-    W += cho_solve(factor, gemm(-1.0, M, W, 1.0, Z.T))
-    return W, factor
+    W += cho_solve(factor, Z.T - M @ W)
+    return W.astype(B.dtype, copy=False), factor
 
 
 def ridge_coefficients(z: np.ndarray, B: np.ndarray, lambda1: float) -> np.ndarray:
@@ -194,7 +204,13 @@ class CasterModel:
         weights: LossWeights | None = None,
         seed: int = 0,
         vocab_hash: str = "",
+        *,
+        _state: dict[str, np.ndarray] | None = None,
     ):
+        """Layers drawn from `seed`; `load_checkpoint` passes `_state`, the
+        stored arrays, which the layers take instead of drawing any.  Arrays
+        that do not match the layers' names, shapes and dtypes raise
+        CheckpointError."""
         self.config = config or ModelConfig()
         self.weights = weights or LossWeights()
         self.k = k
@@ -203,13 +219,17 @@ class CasterModel:
         if not 0 < d < k:
             raise ValueError(f"latent_dim must satisfy 0 < d < k, got d={d}, k={k}")
         dtype = self.config.np_dtype()
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if _state is None else None
         self.encoder = MLP(k, self.config.encoder_hidden, d, rng, name="encoder", dtype=dtype)
         self.decoder = MLP(d, self.config.decoder_hidden, k, rng, name="decoder", dtype=dtype)
         self.predictor = MLP(
             k, self.config.predictor_hidden, 1, rng, batchnorm=True, name="predictor", dtype=dtype
         )
-        self._eye = np.eye(k, dtype=dtype)
+        # the dictionary basis is the encoding of this identity; perfbench's
+        # tracer tells basis passes from data passes by this object
+        self._eye = Identity(k, dtype)
+        if _state is not None:
+            self._adopt(_state)
 
     @property
     def latent_dim(self) -> int:
@@ -228,6 +248,22 @@ class CasterModel:
             **self.decoder.state_arrays(),
             **self.predictor.state_arrays(),
         }
+
+    def _adopt(self, state: dict[str, np.ndarray]) -> None:
+        arrays = self.state_arrays()
+        if state.keys() != arrays.keys():
+            missing = sorted(arrays.keys() - state.keys())
+            extra = sorted(state.keys() - arrays.keys())
+            raise CheckpointError(f"missing arrays {missing}, unexpected arrays {extra}")
+        for name, value in state.items():
+            target = arrays[name]
+            if value.shape != target.shape or value.dtype != target.dtype:
+                raise CheckpointError(
+                    f"array {name!r} is {value.dtype} {value.shape}, "
+                    f"model expects {target.dtype} {target.shape}"
+                )
+        for mlp in (self.encoder, self.decoder, self.predictor):
+            mlp.load_state(state)
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self.state_arrays().items()}
@@ -257,7 +293,9 @@ class CasterModel:
     def dictionary_basis(self) -> np.ndarray:
         """d x k basis whose column i is the encoding of single-hot i.
 
-        Recomputed from the current encoder parameters on every call.
+        Recomputed from the current encoder parameters on every call.  The
+        first layer maps the k x k identity to W_1^T + b_1 without a product;
+        the result equals encoding np.eye(k) bit for bit.
         """
         rows, _ = self.encoder.forward(self._eye)
         return rows.T
@@ -367,8 +405,9 @@ class CasterModel:
         grad_B += (grad_M + grad_M.T) @ B
 
         if w.alpha != 0.0 or w.beta != 0.0 or (y is not None and w.gamma != 0.0):
-            _, enc_from_data = self.encoder.backward(cache_x, grad_Z)
-            _, enc_from_basis = self.encoder.backward(cache_u, grad_B.T)
+            # nothing reads the gradient of X or of the identity
+            _, enc_from_data = self.encoder.backward(cache_x, grad_Z, input_grad=False)
+            _, enc_from_basis = self.encoder.backward(cache_u, grad_B.T, input_grad=False)
             grad_dicts.extend([enc_from_data, enc_from_basis])
 
         parts = {"recon": lr_loss, "proj": lp, "clf": lc}
@@ -664,20 +703,8 @@ def load_checkpoint(path, vocab: Vocabulary | None = None, expected_vocab_hash: 
         )
 
     try:
-        model = CasterModel(k, config, weights, seed=0, vocab_hash=stored_hash)
+        return CasterModel(k, config, weights, vocab_hash=stored_hash, _state=stored)
+    except CheckpointError as err:
+        raise CheckpointError(f"{path}: {err}") from None
     except (TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: header describes no valid model: {err}") from err
-    arrays = model.state_arrays()
-    if stored.keys() != arrays.keys():
-        missing = sorted(arrays.keys() - stored.keys())
-        extra = sorted(stored.keys() - arrays.keys())
-        raise CheckpointError(f"{path}: missing arrays {missing}, unexpected arrays {extra}")
-    for name, value in stored.items():
-        target = arrays[name]
-        if value.shape != target.shape or value.dtype != target.dtype:
-            raise CheckpointError(
-                f"{path}: array {name!r} is {value.dtype} {value.shape}, "
-                f"model expects {target.dtype} {target.shape}"
-            )
-        target[...] = value
-    return model

@@ -25,11 +25,35 @@ def glorot_uniform(out_dim: int, in_dim: int, rng: np.random.Generator, dtype) -
     return rng.uniform(-limit, limit, size=(out_dim, in_dim)).astype(dtype)
 
 
+class Identity:
+    """The n x n identity matrix as a Dense input, never materialised.
+
+    Dense maps it to W^T + b and takes grad_out^T as its weight gradient:
+    the values an n x n product would give, without the product.
+    """
+
+    ndim = 2
+
+    def __init__(self, n: int, dtype=np.float64):
+        self.shape = (n, n)
+        self.dtype = np.dtype(dtype)
+
+    @property
+    def itemsize(self) -> int:
+        """Bytes per element of the matrix it stands for, as on an ndarray."""
+        return self.dtype.itemsize
+
+
 class Dense:
     """Affine map y = x W^T + b for row-major batches."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, dtype=np.float64):
-        self.W = glorot_uniform(out_dim, in_dim, rng, dtype)
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None, dtype=np.float64):
+        """Glorot-uniform weights drawn from `rng`; with rng None, W is left
+        uninitialised for a caller that assigns it."""
+        if rng is None:
+            self.W = np.empty((out_dim, in_dim), dtype=dtype)
+        else:
+            self.W = glorot_uniform(out_dim, in_dim, rng, dtype)
         self.b = np.zeros(out_dim, dtype=dtype)
 
     @property
@@ -43,13 +67,20 @@ class Dense:
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"expected input of shape (n, {self.in_dim}), got {x.shape}")
+        if isinstance(x, Identity):
+            return np.add(self.W.T, self.b, order="C")
         return x @ self.W.T + self.b
 
-    def backward(self, x: np.ndarray, grad_out: np.ndarray):
-        """Gradients for the cached input `x`; returns (grad_x, grad_W, grad_b)."""
+    def backward(self, x: np.ndarray, grad_out: np.ndarray, input_grad: bool = True):
+        """Gradients for the cached input `x`; returns (grad_x, grad_W, grad_b).
+
+        grad_x is None when `input_grad` is False.
+        """
         if grad_out.shape != (x.shape[0], self.out_dim):
             raise ValueError(f"upstream gradient shape {grad_out.shape} does not match output")
-        return grad_out @ self.W, grad_out.T @ x, grad_out.sum(axis=0)
+        grad_x = grad_out @ self.W if input_grad else None
+        grad_W = grad_out.T if isinstance(x, Identity) else grad_out.T @ x
+        return grad_x, grad_W, grad_out.sum(axis=0)
 
 
 class BatchNorm1d:
@@ -106,7 +137,7 @@ class MLP:
         in_dim: int,
         hidden: tuple[int, ...],
         out_dim: int,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         batchnorm: bool = False,
         name: str = "mlp",
         dtype=np.float64,
@@ -145,6 +176,15 @@ class MLP:
                 arrays[f"{self.name}.{i}.bn.running_var"] = bn.running_var
         return arrays
 
+    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Take `arrays[name]` for each name `state_arrays` lists, without copying."""
+        for i, layer in enumerate(self.layers):
+            layer.W = arrays[f"{self.name}.{i}.W"]
+            layer.b = arrays[f"{self.name}.{i}.b"]
+        for i, bn in enumerate(self.norms or ()):
+            for attr in ("gamma", "beta", "running_mean", "running_var"):
+                setattr(bn, attr, arrays[f"{self.name}.{i}.bn.{attr}"])
+
     def forward(self, x: np.ndarray, training: bool = False):
         """Returns (output, caches); pass the caches back to `backward`."""
         caches = []
@@ -159,12 +199,16 @@ class MLP:
         caches.append(h)
         return self.layers[-1].forward(h), caches
 
-    def backward(self, caches, grad_out: np.ndarray):
-        """Returns (grad_input, grads) for the forward call that built `caches`."""
+    def backward(self, caches, grad_out: np.ndarray, input_grad: bool = True):
+        """Returns (grad_input, grads) for the forward call that built `caches`.
+
+        With `input_grad` False the first layer skips its input gradient and
+        grad_input is None.
+        """
         grads: dict[str, np.ndarray] = {}
         h_last = caches[-1]
-        g, gW, gb = self.layers[-1].backward(h_last, grad_out)
         last = len(self.layers) - 1
+        g, gW, gb = self.layers[-1].backward(h_last, grad_out, input_grad or last > 0)
         grads[f"{self.name}.{last}.W"] = gW
         grads[f"{self.name}.{last}.b"] = gb
         for i in range(last - 1, -1, -1):
@@ -174,7 +218,7 @@ class MLP:
                 g, ggamma, gbeta = self.norms[i].backward(bn_cache, g)
                 grads[f"{self.name}.{i}.bn.gamma"] = ggamma
                 grads[f"{self.name}.{i}.bn.beta"] = gbeta
-            g, gW, gb = self.layers[i].backward(x_in, g)
+            g, gW, gb = self.layers[i].backward(x_in, g, input_grad or i > 0)
             grads[f"{self.name}.{i}.W"] = gW
             grads[f"{self.name}.{i}.b"] = gb
         return g, grads

@@ -1,0 +1,69 @@
+"""What the benchmark in perfbench/ relies on in caster.
+
+perfbench/ patches caster's callables by name, recognises the encoder's
+basis passes by the model's `_eye` and computes operation counts from a
+model's layers.  A change that breaks one of these would otherwise show up
+only as a crash or an empty metric in a benchmark run.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from caster.model import CasterModel, ModelConfig
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module("spans"), importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_every_span_target_resolves(perfbench):
+    spans, _ = perfbench
+    for module_name, attr, _span in spans.TARGETS:
+        module = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(module, cls_name)), f"{module_name}.{attr}"
+        else:
+            assert callable(getattr(module, attr)), f"{module_name}.{attr}"
+
+
+def test_computed_counts_run(perfbench):
+    _, workloads = perfbench
+    k = 200
+    counts = workloads.computed_counts(CasterModel(k, ModelConfig(), seed=0), 256)
+    assert counts["dense_flops_per_train_step"] > 0
+    assert counts["identity_bytes_per_train_step"] == 2 * k * k * 8
+
+
+def test_traced_step_records_basis_and_ridge(perfbench):
+    spans, _ = perfbench
+    rec = spans.Recorder()
+    rec.install()
+    try:
+        config = ModelConfig(latent_dim=3, encoder_hidden=(8,), decoder_hidden=(8,), predictor_hidden=(8,))
+        m = CasterModel(12, config, seed=0)
+        rng = np.random.default_rng(0)
+        X = (rng.random((6, 12)) < 0.3).astype(float)
+        y = np.array([0.0, 1.0] * 3)
+        rec.active = True
+        m.step(X, y)
+        m.dictionary_basis()
+        rec.active = False
+    finally:
+        rec.uninstall()
+    recorded = spans.Spans(rec)
+    # the step's basis forward and backward, then the basis forward
+    assert recorded.count_under(spans.BASIS, "model.step") == 2
+    assert recorded.count_under(spans.BASIS, "model.dictionary_basis") == 1
+    assert recorded.count_under("model.ridge", "model.step") > 0

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
+import caster.model
+import caster.nn
 from caster.corpus import PairCorpus, PairExample
 from caster.model import (
     CasterModel,
@@ -176,6 +178,65 @@ class TestRidge:
         for _ in range(30):
             perturbed = r_star + rng.normal(size=k) * 0.01
             assert projection_loss(z, B, perturbed, lam, 0.0) >= best - 1e-12
+
+
+class TestNumpySolve:
+    """caster's numpy Cholesky solve against scipy's, where the projection is
+    worst conditioned: lambda1 = 1e-5 and a nearly rank-deficient basis."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_scipy(self, rng, dtype):
+        d, k, n, lam = 8, 60, 5, 1e-5
+        for _ in range(10):
+            B = 0.1 * rng.normal(size=(d, k))
+            B[-1] = rng.normal(size=d - 1) @ B[:-1] + 1e-7 * rng.normal(size=k)
+            B = B.astype(dtype)
+            Z = (0.1 * rng.normal(size=(n, d))).astype(dtype)
+            B64, Z64 = B.astype(np.float64), Z.astype(np.float64)
+            M = B64 @ B64.T + lam * np.eye(d)
+            assert np.linalg.cond(M) > 1e5
+            factor = cho_factor(M)
+            ref = cho_solve(factor, Z64.T)
+            ref += cho_solve(factor, Z64.T - M @ ref)
+
+            L = caster.model.cho_factor(M)
+            scipy_L = np.tril(factor[0]) if factor[1] else np.triu(factor[0]).T
+            assert np.abs(L - scipy_L).max() <= 1e-10 * np.abs(scipy_L).max()
+
+            W, _ = caster.model._dual_solve(Z, B, lam)
+            W64, _ = caster.model._dual_solve(Z64, B64, lam)
+            assert W.dtype == dtype
+            # a float32 basis is solved in float64 and only the result rounded
+            np.testing.assert_array_equal(W, W64.astype(dtype))
+            assert np.abs(W64 - ref).max() <= 1e-10 * np.abs(ref).max()
+            R, R_ref = W64.T @ B64, ref.T @ B64
+            assert np.abs(R - R_ref).max() <= 1e-10 * np.abs(R_ref).max()
+
+
+class TestIdentityFreeBasis:
+    """The encoder's basis pass against the slow pass over np.eye(k)."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_basis_equals_identity_pass(self, rng, dtype):
+        m = tiny_model(k=300, d=8, encoder_hidden=(64, 32), dtype=dtype, seed=1)
+        for layer in m.encoder.layers:
+            layer.b[...] = rng.normal(size=layer.b.shape)
+        oracle = m.encoder.forward(np.eye(m.k, dtype=dtype))[0].T
+        np.testing.assert_array_equal(m.dictionary_basis(), oracle)
+
+    def test_step_equals_identity_pass(self, rng):
+        m = tiny_model(k=300, d=8, encoder_hidden=(64, 32), seed=2)
+        oracle = tiny_model(k=300, d=8, encoder_hidden=(64, 32), seed=2)
+        oracle._eye = np.eye(oracle.k)  # the encoder multiplies by it
+        X = (rng.random((16, 300)) < 0.05).astype(float)
+        y = rng.integers(0, 2, 16).astype(float)
+        for labels, training in ((y, True), (None, True), (y, False)):
+            loss, parts, grads = m.step(X, labels, training)
+            oracle_loss, oracle_parts, oracle_grads = oracle.step(X, labels, training)
+            assert loss == oracle_loss and parts == oracle_parts
+            assert grads.keys() == oracle_grads.keys()
+            for name, g in oracle_grads.items():
+                np.testing.assert_array_equal(grads[name], g, err_msg=name)
 
 
 class TestModelPieces:
@@ -529,6 +590,20 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match=message) as info:
                 load_checkpoint(path)
             assert str(path) in str(info.value)
+
+    def test_load_draws_no_random_weights(self, tmp_path, monkeypatch):
+        m = tiny_model(seed=5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, m)
+
+        def no_draw(*args):
+            raise AssertionError("load_checkpoint drew random weights")
+
+        monkeypatch.setattr(caster.nn, "glorot_uniform", no_draw)
+        loaded = load_checkpoint(path)
+        saved = m.state_arrays()
+        for name, arr in loaded.state_arrays().items():
+            assert arr.tobytes() == saved[name].tobytes()
 
     def test_missing_file_is_os_error(self, tmp_path):
         with pytest.raises(OSError):

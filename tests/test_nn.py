@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from caster.nn import MLP, Adam, BatchNorm1d, Dense, GradCheckReport, gradient_check, relu, sigmoid
+from caster.nn import MLP, Adam, BatchNorm1d, Dense, GradCheckReport, Identity, gradient_check, relu, sigmoid
 
 
 @pytest.fixture
@@ -67,6 +67,20 @@ class TestDense:
             layer.forward(np.zeros((2, 5)))
         with pytest.raises(ValueError):
             layer.backward(np.zeros((2, 3)), np.zeros((2, 5)))
+
+    def test_identity_input_matches_dense_identity(self, rng):
+        # the fast path against the product with a materialised identity
+        layer = Dense(7, 4, rng)
+        layer.b[...] = rng.normal(size=4)
+        eye = np.eye(7)
+        np.testing.assert_array_equal(layer.forward(Identity(7)), layer.forward(eye))
+        grad_out = rng.normal(size=(7, 4))
+        _, grad_W, grad_b = layer.backward(Identity(7), grad_out)
+        _, oracle_W, oracle_b = layer.backward(eye, grad_out)
+        np.testing.assert_array_equal(grad_W, oracle_W)
+        np.testing.assert_array_equal(grad_b, oracle_b)
+        with pytest.raises(ValueError):
+            layer.forward(Identity(6))
 
     def test_glorot_bounds_and_determinism(self):
         a = Dense(40, 30, np.random.default_rng(5))
@@ -146,6 +160,27 @@ class TestMLP:
 
         report = gradient_check(loss_fn, params, tolerance=1e-4, step=1e-5)
         assert report.passed, f"max rel err {report.max_rel_error} at {report.worst_param}"
+
+    @pytest.mark.parametrize("hidden", [(), (8, 6)])
+    def test_backward_without_input_gradient(self, rng, hidden):
+        mlp = MLP(5, hidden, 2, rng, batchnorm=True, name="net")
+        out, caches = mlp.forward(rng.normal(size=(9, 5)), training=True)
+        grad_out = rng.normal(size=out.shape)
+        grad_x, full = mlp.backward(caches, grad_out)
+        skipped_x, skipped = mlp.backward(caches, grad_out, input_grad=False)
+        assert grad_x.shape == (9, 5) and skipped_x is None
+        assert skipped.keys() == full.keys()
+        for name, g in full.items():
+            np.testing.assert_array_equal(skipped[name], g, err_msg=name)
+
+    def test_load_state_takes_the_arrays(self, rng):
+        source = MLP(5, (8,), 2, rng, batchnorm=True, name="net")
+        state = {name: arr + 1.0 for name, arr in source.state_arrays().items()}
+        target = MLP(5, (8,), 2, None, batchnorm=True, name="net")
+        target.load_state(state)
+        arrays = target.state_arrays()
+        assert arrays.keys() == state.keys()
+        assert all(arrays[name] is state[name] for name in state)
 
     def test_forward_bitwise_deterministic(self, rng):
         mlp = MLP(4, (8,), 3, rng)
