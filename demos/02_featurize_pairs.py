@@ -10,7 +10,7 @@ Run:  python demos/02_featurize_pairs.py
 import numpy as np
 
 from caster.corpus import atom_tokenize
-from caster.featurize import featurize_pairs, functional_representation, substructure_onehots
+from caster.featurize import featurize_pairs, functional_representation
 from caster.spm import mine_vocabulary
 from caster.synthetic import DEFAULT_MOTIF, planted_motif_dataset
 
@@ -42,6 +42,3 @@ X, y = featurize_pairs(data.pairs, vocab)
 print(f"\nwhole corpus: X is {X.shape}, {X.mean():.1%} of bits set, labels balanced at {y.mean():.0%}")
 motif_bit = X[:, vocab.index_of(DEFAULT_MOTIF)]
 print(f"motif bit equals the interaction label on {np.mean(motif_bit == y):.1%} of pairs")
-
-U = substructure_onehots(vocab)
-print(f"\nsingle-hot indicators (the dictionary inputs): identity of shape {U.shape}")

@@ -21,7 +21,6 @@ from .featurize import (
     featurize_pairs,
     functional_representation,
     substructure_membership,
-    substructure_onehots,
 )
 from .metrics import coefficient_correlation, f1_at_threshold, pr_auc, roc_auc
 from .model import (
@@ -60,7 +59,6 @@ __all__ = [
     "featurize_pairs",
     "functional_representation",
     "substructure_membership",
-    "substructure_onehots",
     "roc_auc",
     "pr_auc",
     "f1_at_threshold",

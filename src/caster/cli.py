@@ -70,7 +70,6 @@ DEFAULTS = {
     "split_mode": "ratio",
     "fold_index": 0,
     "dtype": "float64",
-    "f1_threshold": 0.5,
 }
 
 _CASTS = {
@@ -78,7 +77,7 @@ _CASTS = {
     "pretrain_epochs": int, "max_epochs": int, "patience": int, "fold_index": int,
     "seed": int,
     "alpha": float, "beta": float, "gamma": float, "lambda1": float, "lambda2": float,
-    "magnifier": float, "lr": float, "f1_threshold": float,
+    "magnifier": float, "lr": float,
 }
 
 

@@ -37,19 +37,11 @@ def functional_representation(left: str, right: str, vocab: Vocabulary) -> np.nd
     return x
 
 
-def substructure_onehots(vocab: Vocabulary) -> np.ndarray:
-    """The k single-hot indicator vectors, as rows of an identity matrix."""
-    return np.eye(vocab.k, dtype=np.float64)
+def _shared_indices(corpus: PairCorpus, vocab: Vocabulary):
+    """Yield (example, sorted shared substructure indices) in corpus order.
 
-
-def featurize_pairs(
-    corpus: PairCorpus, vocab: Vocabulary
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Featurize a whole corpus into a row-major (n, k) binary matrix.
-
-    Returns (X, y) where y is the label vector for labelled corpora and
-    None otherwise.  Per-compound memberships are cached, so corpora that
-    reuse compounds featurize in O(unique compounds) segmentations.
+    Per-compound memberships are cached, so corpora that reuse compounds
+    featurize in O(unique compounds) segmentations.
     """
     cache: dict[str, set[int]] = {}
 
@@ -58,11 +50,21 @@ def featurize_pairs(
             cache[s] = substructure_membership(s, vocab)
         return cache[s]
 
+    for ex in corpus:
+        yield ex, sorted(member(ex.left) & member(ex.right))
+
+
+def featurize_pairs(
+    corpus: PairCorpus, vocab: Vocabulary
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Featurize a whole corpus into a row-major (n, k) binary matrix.
+
+    Returns (X, y) where y is the label vector for labelled corpora and
+    None otherwise.
+    """
     X = np.zeros((len(corpus), vocab.k), dtype=np.float64)
-    for row, ex in enumerate(corpus):
-        shared = member(ex.left) & member(ex.right)
-        if shared:
-            X[row, sorted(shared)] = 1.0
+    for row, (_, shared) in enumerate(_shared_indices(corpus, vocab)):
+        X[row, shared] = 1.0
     if corpus.kind == "labelled":
         y = np.array(corpus.labels(), dtype=np.float64)
         return X, y
@@ -75,11 +77,8 @@ def export_features(path, corpus: PairCorpus, vocab: Vocabulary) -> None:
     pair_id is the 0-based row index in the corpus; the label column is
     present only for labelled corpora.
     """
-    X, y = featurize_pairs(corpus, vocab)
+    labelled = corpus.kind == "labelled"
     with open(path, "w", encoding="utf-8") as fh:
-        for row in range(X.shape[0]):
-            idx = ",".join(str(i) for i in np.flatnonzero(X[row]))
-            if y is not None:
-                fh.write(f"{row}\t{idx}\t{int(y[row])}\n")
-            else:
-                fh.write(f"{row}\t{idx}\n")
+        for row, (ex, shared) in enumerate(_shared_indices(corpus, vocab)):
+            idx = ",".join(map(str, shared))
+            fh.write(f"{row}\t{idx}\t{int(ex.label)}\n" if labelled else f"{row}\t{idx}\n")

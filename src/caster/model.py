@@ -124,11 +124,12 @@ def classification_loss(p: np.ndarray, y: np.ndarray) -> float:
 
 
 def projection_loss(z, B, r, lambda1: float, lambda2: float) -> float:
-    """Ridge projection objective plus the basis Frobenius penalty.
+    """Ridge projection objective plus the basis Frobenius penalty, for any r.
 
     The residual and coefficient terms are averaged over the batch; the
     lambda2 * ||B||_F^2 term is charged once (it regularizes parameters,
-    not data).
+    not data).  `CasterModel.step` evaluates it at the ridge solution in
+    closed form: (lambda1/2) mean(z^T (B B^T + lambda1 I)^{-1} z) + lambda2 ||B||^2.
     """
     z = np.atleast_2d(z)
     r = np.atleast_2d(r)
@@ -333,8 +334,10 @@ class CasterModel:
         """Aggregated loss and gradients for one batch.
 
         Returns (loss, parts, grads) where parts holds the unweighted
-        recon/proj/clf values.  Gradients flow through the closed-form
-        ridge solve.
+        recon/proj/clf values.  L_proj is taken in closed form: with
+        W = (B B^T + lambda1 I)^{-1} Z^T the ridge residual is lambda1 W^T
+        and dL_proj/dR = 0, so only the classification loss is differentiated
+        through the solve, and a step without labels forms no (n, k) array.
         """
         w = self.weights
         n = X.shape[0]
@@ -346,23 +349,15 @@ class CasterModel:
         B = Brows.T
 
         Wsol, factor = _dual_solve(Z, B, lam1)  # (d, n)
-        R = Wsol.T @ B  # (n, k)
-
-        resid = Z - R @ B.T
-        lp = (
-            0.5 * float((resid**2).sum(axis=1).mean())
-            + 0.5 * lam1 * float((R**2).sum(axis=1).mean())
-            + w.lambda2 * float((B**2).sum())
-        )
+        lp = 0.5 * lam1 * float((Z * Wsol.T).sum(axis=1).mean()) + w.lambda2 * float((B**2).sum())
 
         dec_logits, cache_d = self.decoder.forward(Z, training)
         Xhat = sigmoid(dec_logits)
         lr_loss = reconstruction_loss(X, Xhat)
 
         lc = 0.0
-        P = None
-        cache_p = None
         if y is not None:
+            R = Wsol.T @ B  # (n, k)
             logits, cache_p = self.predictor.forward(self.config.magnifier * R, training)
             P = sigmoid(logits[:, 0])
             lc = classification_loss(P, y)
@@ -376,7 +371,6 @@ class CasterModel:
 
         grad_Z = np.zeros_like(Z)
         grad_B = np.zeros_like(B)
-        grad_R = np.zeros_like(R)
         grad_dicts = []
 
         if w.alpha != 0.0:
@@ -386,23 +380,22 @@ class CasterModel:
             grad_dicts.append(dec_grads)
 
         if w.beta != 0.0:
-            grad_Z += w.beta * resid / n
-            grad_R += w.beta * (lam1 * R - resid @ B) / n
-            grad_B += w.beta * (2.0 * w.lambda2 * B - resid.T @ R / n)
+            grad_Z += w.beta * lam1 * Wsol.T / n
+            grad_B += w.beta * (2.0 * w.lambda2 * B - (lam1 / n) * (Wsol @ Wsol.T) @ B)
 
         if y is not None and w.gamma != 0.0:
             g_logits = (w.gamma * (P - y) / n)[:, None]
             g_pin, pred_grads = self.predictor.backward(cache_p, g_logits)
-            grad_R += self.config.magnifier * g_pin
+            grad_R = self.config.magnifier * g_pin
             grad_dicts.append(pred_grads)
 
-        # Back through R = Wsol^T B with Wsol = M^{-1} Z^T, M = B B^T + lam1 I.
-        grad_W = B @ grad_R.T
-        grad_B += Wsol @ grad_R
-        grad_Zt = cho_solve(factor, grad_W)
-        grad_Z += grad_Zt.T
-        grad_M = -grad_Zt @ Wsol.T
-        grad_B += (grad_M + grad_M.T) @ B
+            # Back through R = Wsol^T B with Wsol = M^{-1} Z^T, M = B B^T + lam1 I.
+            grad_W = B @ grad_R.T
+            grad_B += Wsol @ grad_R
+            grad_Zt = cho_solve(factor, grad_W)
+            grad_Z += grad_Zt.T
+            grad_M = -grad_Zt @ Wsol.T
+            grad_B += (grad_M + grad_M.T) @ B
 
         if w.alpha != 0.0 or w.beta != 0.0 or (y is not None and w.gamma != 0.0):
             # nothing reads the gradient of X or of the identity

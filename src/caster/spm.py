@@ -124,7 +124,7 @@ class Vocabulary:
             if len(parts) != 3:
                 raise VocabularyError(f"line {i + 1}: expected left<TAB>right<TAB>freq")
             left, right, freq = parts
-            merges.append(MergeRule(left, right, left + right, len(merges), int(freq)))
+            merges.append(MergeRule(left, right, left + right, len(merges), _frequency(freq, i)))
             i += 1
         i += 1  # blank separator
         substructures: list[tuple[str, int]] = []
@@ -132,7 +132,7 @@ class Vocabulary:
             parts = lines[i].split("\t")
             if len(parts) != 2:
                 raise VocabularyError(f"line {i + 1}: expected substructure<TAB>freq")
-            substructures.append((parts[0], int(parts[1])))
+            substructures.append((parts[0], _frequency(parts[1], i)))
             i += 1
 
         # The file format does not carry base tokens; reconstruct the
@@ -144,7 +144,17 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+            try:
+                return cls.from_text(fh.read())
+            except VocabularyError as err:
+                raise VocabularyError(f"{path}: {err}") from None
+
+
+def _frequency(text: str, i: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise VocabularyError(f"line {i + 1}: frequency {text!r} is not an integer") from None
 
 
 def _replace_pair(tokens: list[str], left: str, right: str, merged: str) -> list[str]:

@@ -150,6 +150,18 @@ class TestPipeline:
         assert rc == 2
         assert "v1 text checkpoint" in capsys.readouterr().err
 
+    def test_bad_vocabulary_frequency_exits_1(self, trained, tmp_path, capsys):
+        root, out = trained
+        lines = (root / "vocab.txt").read_text().splitlines()
+        lines[1] = lines[1].rsplit("\t", 1)[0] + "\tx"
+        bad = tmp_path / "vocab.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["predict", "--vocab", str(bad),
+                   "--checkpoint", str(out / "stage2" / "model.ckpt"),
+                   "--pairs", str(root / "unlabelled.tsv"), "--out", str(tmp_path / "s.tsv")])
+        assert rc == 1
+        assert f"{bad}: line 2: frequency 'x' is not an integer" in capsys.readouterr().err
+
     def test_config_file_and_flag_precedence(self, workspace, tmp_path):
         root, _ = workspace
         conf = tmp_path / "run.conf"

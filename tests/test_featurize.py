@@ -1,4 +1,4 @@
-"""Functional vectors: shared-substructure bits and one-hot indicators."""
+"""Functional vectors: shared-substructure bits, batches and sparse export."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from caster.featurize import (
     featurize_pairs,
     functional_representation,
     substructure_membership,
-    substructure_onehots,
 )
 from caster.spm import MergeRule, Vocabulary, segment
 
@@ -69,19 +68,6 @@ class TestFunctionalRepresentation:
         once = functional_representation("CCO", "CCO", vocab)
         many = functional_representation("CCOOO", "CCO", vocab)
         np.testing.assert_array_equal(once, many)
-
-
-class TestOnehots:
-    def test_identity_rows(self, vocab):
-        U = substructure_onehots(vocab)
-        np.testing.assert_array_equal(U, np.eye(3))
-
-    def test_k_equals_one(self):
-        v = Vocabulary(frozenset("C"), [], [("C", 4)], 1, 0)
-        np.testing.assert_array_equal(substructure_onehots(v), [[1.0]])
-
-    def test_partition_property(self, vocab):
-        np.testing.assert_array_equal(substructure_onehots(vocab).sum(axis=0), np.ones(3))
 
 
 class TestBatchFeaturization:

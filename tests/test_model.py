@@ -49,6 +49,76 @@ def primal_ridge(z, B, lam):
     return R.T[0] if z.ndim == 1 else R.T
 
 
+def reference_step(model, X, y, training=True):
+    """Oracle for CasterModel.step: the projection loss charged on the n x k
+    coefficients R and residual Z - R B^T, and its gradient pushed back
+    through the ridge solve with the (zero) gradient of R included."""
+    w = model.weights
+    n = X.shape[0]
+    lam1 = w.lambda1
+
+    X = np.asarray(X, dtype=model.config.np_dtype())
+    Z, cache_x = model.encoder.forward(X, training)
+    Brows, cache_u = model.encoder.forward(model._eye, training)
+    B = Brows.T
+
+    Wsol, factor = caster.model._dual_solve(Z, B, lam1)
+    R = Wsol.T @ B
+
+    resid = Z - R @ B.T
+    lp = (
+        0.5 * float((resid**2).sum(axis=1).mean())
+        + 0.5 * lam1 * float((R**2).sum(axis=1).mean())
+        + w.lambda2 * float((B**2).sum())
+    )
+
+    dec_logits, cache_d = model.decoder.forward(Z, training)
+    Xhat = caster.nn.sigmoid(dec_logits)
+    lr_loss = reconstruction_loss(X, Xhat)
+
+    lc = 0.0
+    if y is not None:
+        logits, cache_p = model.predictor.forward(model.config.magnifier * R, training)
+        P = caster.nn.sigmoid(logits[:, 0])
+        lc = classification_loss(P, y)
+
+    loss = w.alpha * lr_loss + w.beta * lp + (w.gamma * lc if y is not None else 0.0)
+
+    grad_Z = np.zeros_like(Z)
+    grad_B = np.zeros_like(B)
+    grad_R = np.zeros_like(R)
+    grad_dicts = []
+
+    if w.alpha != 0.0:
+        gz, dec_grads = model.decoder.backward(cache_d, w.alpha * (Xhat - X) / n)
+        grad_Z += gz
+        grad_dicts.append(dec_grads)
+
+    if w.beta != 0.0:
+        grad_Z += w.beta * resid / n
+        grad_R += w.beta * (lam1 * R - resid @ B) / n
+        grad_B += w.beta * (2.0 * w.lambda2 * B - resid.T @ R / n)
+
+    if y is not None and w.gamma != 0.0:
+        g_pin, pred_grads = model.predictor.backward(cache_p, (w.gamma * (P - y) / n)[:, None])
+        grad_R += model.config.magnifier * g_pin
+        grad_dicts.append(pred_grads)
+
+    grad_W = B @ grad_R.T
+    grad_B += Wsol @ grad_R
+    grad_Zt = caster.model.cho_solve(factor, grad_W)
+    grad_Z += grad_Zt.T
+    grad_M = -grad_Zt @ Wsol.T
+    grad_B += (grad_M + grad_M.T) @ B
+
+    if w.alpha != 0.0 or w.beta != 0.0 or (y is not None and w.gamma != 0.0):
+        _, enc_from_data = model.encoder.backward(cache_x, grad_Z, input_grad=False)
+        _, enc_from_basis = model.encoder.backward(cache_u, grad_B.T, input_grad=False)
+        grad_dicts.extend([enc_from_data, enc_from_basis])
+    parts = {"recon": lr_loss, "proj": lp, "clf": lc}
+    return loss, parts, caster.nn.merge_grads(*grad_dicts)
+
+
 def tiny_model(k=10, d=3, seed=0, weights=None, **cfg_kwargs):
     defaults = dict(
         latent_dim=d, encoder_hidden=(8,), decoder_hidden=(8,), predictor_hidden=(8, 6)
@@ -356,6 +426,115 @@ class TestStepGradient:
         report = gradient_check(loss_fn, m.parameters(), tolerance=1e-4, step=1e-5,
                                 max_entries_per_param=20, rng=rng)
         assert report.passed, f"{report.max_rel_error} at {report.worst_param}"
+
+
+def _closed_form_case(size, rng, dtype="float64"):
+    """A model and a multi-hot batch: toy, k=300, or paper scale (the default
+    architecture, k=1722, batch 256, about 17 substructures per row)."""
+    if size == "toy":
+        m, n = tiny_model(k=10, d=3, seed=5, dtype=dtype), 6
+    elif size == "k300":
+        m, n = tiny_model(k=300, d=8, encoder_hidden=(64, 32), seed=6, dtype=dtype), 32
+    else:
+        m, n = CasterModel(1722, ModelConfig(dtype=dtype), LossWeights(), seed=0), 256
+    X = (rng.random((n, m.k)) < min(0.4, 17 / m.k)).astype(float)
+    y = rng.integers(0, 2, n).astype(float)
+    return m, X, y
+
+
+class _Tainted(np.ndarray):
+    """An array that records the shape of every array computed from it."""
+
+    shapes: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [a.view(np.ndarray) if isinstance(a, _Tainted) else a for a in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(o.view(np.ndarray) for o in kwargs["out"])
+            return getattr(ufunc, method)(*plain, **kwargs)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if not isinstance(result, np.ndarray):
+            return result
+        _Tainted.shapes.append(result.shape)
+        return result.view(_Tainted)
+
+
+class TestClosedFormProjection:
+    """step's closed-form projection loss against reference_step, which
+    charges it on the n x k coefficients and differentiates through the solve."""
+
+    @pytest.mark.parametrize(
+        "size, dtype, tol",
+        [
+            ("toy", "float64", 1e-13),
+            ("k300", "float64", 1e-13),
+            ("paper", "float64", 1e-13),
+            ("toy", "float32", 1e-5),
+            ("k300", "float32", 1e-5),
+            ("paper", "float32", 1e-5),
+        ],
+    )
+    def test_step_matches_reference(self, rng, size, dtype, tol):
+        m, X, y = _closed_form_case(size, rng, dtype)
+        snap = m.snapshot()
+        for labels, training in ((y, True), (None, True), (y, False), (None, False)):
+            loss, parts, grads = m.step(X, labels, training)
+            m.restore(snap)
+            ref_loss, ref_parts, ref_grads = reference_step(m, X, labels, training)
+            m.restore(snap)
+            if dtype == "float64":
+                assert loss == ref_loss and parts == ref_parts
+            else:
+                assert loss == pytest.approx(ref_loss, rel=tol)
+                assert parts == pytest.approx(ref_parts, rel=tol)
+            assert grads.keys() == ref_grads.keys()
+            for name, ref in ref_grads.items():
+                assert grads[name].dtype == ref.dtype, name
+                assert np.abs(grads[name] - ref).max() <= tol * np.abs(ref).max(), name
+
+    @pytest.mark.parametrize("size", ["toy", "k300", "paper"])
+    def test_residual_is_lambda1_w(self, rng, size):
+        # B has full row rank d < k, so every z lies in its span
+        m, X, _ = _closed_form_case(size, rng)
+        lam1 = m.weights.lambda1
+        Z, B = m.encode(X), m.dictionary_basis()
+        W, _ = caster.model._dual_solve(Z, B, lam1)
+        resid = Z - (W.T @ B) @ B.T
+        assert np.abs(resid - lam1 * W.T).max() <= 1e-9 * np.abs(lam1 * W.T).max()
+
+    @pytest.mark.parametrize("size", ["toy", "k300", "paper"])
+    def test_proj_part_equals_projection_loss(self, rng, size):
+        m, X, _ = _closed_form_case(size, rng)
+        w = m.weights
+        Z, B = m.encode(X), m.dictionary_basis()
+        general = projection_loss(Z, B, ridge_coefficients(Z, B, w.lambda1), w.lambda1, w.lambda2)
+        _, parts, _ = m.step(X, None, training=False)
+        assert parts["proj"] == pytest.approx(general, rel=1e-12)
+
+    def test_pretraining_step_forms_no_coefficient_matrix(self, rng, monkeypatch):
+        m, X, y = _closed_form_case("k300", rng)
+        n, k = X.shape
+        dual_solve, solve = caster.model._dual_solve, caster.model.cho_solve
+        solves = []
+
+        def tainted_dual_solve(Z, B, lambda1):
+            W, factor = dual_solve(Z, B, lambda1)
+            return W.view(_Tainted), factor
+
+        def counted_solve(L, rhs):
+            solves.append(rhs.shape)
+            return solve(L, rhs)
+
+        monkeypatch.setattr(caster.model, "_dual_solve", tainted_dual_solve)
+        monkeypatch.setattr(caster.model, "cho_solve", counted_solve)
+        for labels, expected_solves in ((None, 2), (y, 3)):
+            _Tainted.shapes.clear()
+            solves.clear()
+            m.step(X, labels, training=True)
+            # the (n, k) coefficient matrix is formed, and differentiated
+            # through the solve, only when there are labels
+            assert ((n, k) in _Tainted.shapes) == (labels is not None)
+            assert len(solves) == expected_solves
 
 
 def _toy_supervised(rng, n=240, k=12):

@@ -1,5 +1,6 @@
 """Miner correctness against a naive rescan simulator, plus vocab IO."""
 
+import re
 from collections import Counter
 
 import pytest
@@ -179,6 +180,18 @@ class TestVocabularyFile:
         path = tmp_path / "bad.txt"
         path.write_text("not a vocab\n")
         with pytest.raises(VocabularyError):
+            Vocabulary.load(path)
+
+    @pytest.mark.parametrize("lineno", [2, 4])  # a merge line, a substructure line
+    def test_bad_frequency_names_file_and_line(self, tmp_path, lineno):
+        lines = mine_vocabulary([["C", "C"]] * 3, eta=2).to_text().splitlines()
+        assert lines[lineno - 1].endswith("\t3")
+        lines[lineno - 1] = lines[lineno - 1][:-1] + "x"
+        with pytest.raises(VocabularyError, match=f"^line {lineno}: frequency 'x' is not an integer$"):
+            Vocabulary.from_text("\n".join(lines))
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(VocabularyError, match=f"^{re.escape(str(path))}: line {lineno}: frequency"):
             Vocabulary.load(path)
 
     def test_substructure_order_is_index_order(self):
