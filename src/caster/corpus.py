@@ -50,6 +50,24 @@ class CorpusFormatError(ValueError):
     """Raised when a corpus file violates its TSV schema."""
 
 
+def undecodable(path, error: type[ValueError]) -> ValueError:
+    """Build `error` naming the path and line of a file's first non-UTF-8 byte.
+
+    Called after reading `path` as UTF-8 text failed; the bytes are read
+    again to find the line, counting newlines as text mode does
+    (``\n``, ``\r\n`` or a bare ``\r``).
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[: err.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return error(f"{path}: line {line}: invalid UTF-8 byte 0x{data[err.start]:02x}")
+    return error(f"{path}: invalid UTF-8")  # the file changed since the failed read
+
+
 def atom_tokenize(smiles: str) -> list[str]:
     """Split a SMILES string into atom/bond tokens.
 
@@ -174,8 +192,11 @@ def load_pair_corpus(path, kind: str) -> PairCorpus:
     """
     if kind not in (LABELLED, UNLAB):
         raise ValueError(f"unknown corpus kind {kind!r}")
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise undecodable(path, CorpusFormatError) from None
     if not lines:
         raise CorpusFormatError(f"{path}: empty file, header row required")
 
@@ -253,17 +274,20 @@ def load_smiles_corpus(path) -> list[str]:
     """
     out: list[str] = []
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            s = line.strip()
-            if not s:
-                continue
-            try:
-                atom_tokenize(s)
-            except SmilesParseError:
-                skipped += 1
-                continue
-            out.append(s)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                s = line.strip()
+                if not s:
+                    continue
+                try:
+                    atom_tokenize(s)
+                except SmilesParseError:
+                    skipped += 1
+                    continue
+                out.append(s)
+    except UnicodeDecodeError:
+        raise undecodable(path, CorpusFormatError) from None
     if skipped:
         log.warning("%s: skipped %d unparseable SMILES", path, skipped)
     log.info("%s: loaded %d compounds", path, len(out))

@@ -14,13 +14,24 @@ Conventions (fixed so results are reproducible across platforms):
 * replacement is greedy left-to-right and non-overlapping within a string;
 * ties on the maximum count are broken by the lexicographically smallest
   (left, right) pair.
+
+Both hot paths are exact shortcuts of the plain algorithms (details in
+`mine_vocabulary` and `segment`):
+
+* the miner updates pair counts only around each merge site and takes
+  the best pair from a lazy max-heap instead of scanning every count;
+* the segmenter jumps from one applicable rule to the next by rank instead
+  of walking every rule, and never goes back to a rank it has passed.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+
+from .corpus import undecodable
 
 DEFAULT_MAX_MERGES = 30_000
 
@@ -61,6 +72,9 @@ class Vocabulary:
     eta: int
     ell: int
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _ranks: dict[tuple[str, str], tuple[int, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.substructures:
@@ -87,6 +101,19 @@ class Vocabulary:
 
     def index_of(self, token: str) -> int | None:
         return self._index.get(token)
+
+    def merge_ranks(self) -> dict[tuple[str, str], tuple[int, ...]]:
+        """Every rank of each merge pair, ascending; built on first use.
+
+        Built lazily, not on construction, so that loading a vocabulary
+        does not pay for it.  `merges` must not change after the first call.
+        """
+        if self._ranks is None:
+            ranks: dict[tuple[str, str], list[int]] = {}
+            for rule in self.merges:
+                ranks.setdefault((rule.left, rule.right), []).append(rule.rank)
+            self._ranks = {pair: tuple(r) for pair, r in ranks.items()}
+        return self._ranks
 
     def to_text(self) -> str:
         lines = [f"{VOCAB_MAGIC} eta={self.eta} ell={self.ell}"]
@@ -143,11 +170,15 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                return cls.from_text(fh.read())
-            except VocabularyError as err:
-                raise VocabularyError(f"{path}: {err}") from None
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError:
+            raise undecodable(path, VocabularyError) from None
+        try:
+            return cls.from_text(text)
+        except VocabularyError as err:
+            raise VocabularyError(f"{path}: {err}") from None
 
 
 def _frequency(text: str, i: int) -> int:
@@ -157,23 +188,32 @@ def _frequency(text: str, i: int) -> int:
         raise VocabularyError(f"line {i + 1}: frequency {text!r} is not an integer") from None
 
 
-def _replace_pair(tokens: list[str], left: str, right: str, merged: str) -> list[str]:
-    """Greedy left-to-right, non-overlapping replacement of one pair."""
+def _replace_pair(
+    tokens: list[str], left: str, right: str, merged: str
+) -> tuple[list[str], list[int]]:
+    """Greedy left-to-right, non-overlapping replacement of one pair.
+
+    Returns the new token list and the start index in `tokens` of every
+    replaced occurrence, in order.
+    """
     out: list[str] = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        if i + 1 < n and tokens[i] == left and tokens[i + 1] == right:
-            out.append(merged)
-            i += 2
-        else:
-            out.append(tokens[i])
-            i += 1
-    return out
-
-
-def _pair_counts(tokens: list[str]) -> Counter:
-    return Counter(zip(tokens, tokens[1:]))
+    sites: list[int] = []
+    last = len(tokens) - 1
+    start = i = 0
+    try:
+        while True:
+            i = tokens.index(left, i)
+            if i < last and tokens[i + 1] == right:
+                out += tokens[start:i]
+                out.append(merged)
+                sites.append(i)
+                i = start = i + 2
+            else:
+                i += 1
+    except ValueError:  # no further `left`
+        pass
+    out += tokens[start:]
+    return out, sites
 
 
 def mine_vocabulary(
@@ -184,9 +224,22 @@ def mine_vocabulary(
     """Mine frequent substructures from a tokenized corpus.
 
     Merges the most frequent adjacent pair while its count is at least
-    `eta`, up to `ell` merges (default 30,000).  The pair index is updated
-    incrementally but the result is exactly what a full rescan after every
-    merge would produce.
+    `eta`, up to `ell` merges (default 30,000).  The result is exactly what
+    a full rescan after every merge would produce:
+
+    * a merge rewrites only the strings listed under its pair and updates
+      the counts locally.  It subtracts the old pairs that start at i-1, i
+      and i+1 of each merge site i, and adds the new pairs that start at
+      j-1 and j of each merged token j, once where two sites are
+      adjacent.  Every other pair of the string maps one-to-one onto a
+      pair of the rewritten string, so the counts stay exact.  A string
+      stays listed under a pair it has lost; its rewrite then finds no
+      site and changes nothing;
+    * the best pair comes from a lazy max-heap of (-count, pair).  A pair
+      is pushed when its count rises.  A popped entry whose count has
+      since fallen is pushed again with its current count, and one whose
+      pair is gone or counted higher is dropped.  Tuples order by
+      (left, right), so ties break as `min` over the tied pairs does.
 
     The returned substructure list holds every token whose frequency in
     the final segmented corpus is at least `eta`, ordered by descending
@@ -204,41 +257,66 @@ def mine_vocabulary(
     work = [list(seq) for seq in corpus]
     base_tokens = frozenset(tok for seq in work for tok in seq)
 
-    counts: Counter = Counter()
-    where: dict[tuple[str, str], set[int]] = {}
+    counts: dict[tuple[str, str], int] = {}
+    where: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
     for si, seq in enumerate(work):
-        for pair, c in _pair_counts(seq).items():
-            counts[pair] += c
-            where.setdefault(pair, set()).add(si)
+        for pair in zip(seq, seq[1:]):
+            counts[pair] = counts.get(pair, 0) + 1
+            where[pair].add(si)
+    heap = [(-c, pair) for pair, c in counts.items()]
+    heapq.heapify(heap)
 
     merges: list[MergeRule] = []
-    for rank in range(ell):
-        if not counts:
+    while heap and len(merges) < ell:
+        neg, pair = heap[0]
+        count = counts.get(pair, 0)
+        if count != -neg:
+            if 0 < count < -neg:
+                heapq.heapreplace(heap, (-count, pair))
+            else:
+                heapq.heappop(heap)
+            continue
+        if count < eta:
             break
-        best_count = max(counts.values())
-        if best_count < eta:
-            break
-        pair = min(p for p, c in counts.items() if c == best_count)
+        heapq.heappop(heap)
         left, right = pair
         merged = left + right
 
-        for si in sorted(where[pair]):
+        delta: dict[tuple[str, str], int] = {}
+        for si in where.pop(pair):
             old = work[si]
-            new = _replace_pair(old, left, right, merged)
-            old_pairs = _pair_counts(old)
-            new_pairs = _pair_counts(new)
-            for p, c in old_pairs.items():
-                counts[p] -= c
-                if counts[p] == 0:
-                    del counts[p]
-                if p not in new_pairs:
-                    where[p].discard(si)
-            for p, c in new_pairs.items():
-                counts[p] += c
-                where.setdefault(p, set()).add(si)
+            new, sites = _replace_pair(old, left, right, merged)
+            if not sites:
+                continue
+            n = len(old)
+            prev = -2
+            for k, i in enumerate(sites):
+                j = i - k  # index of this merged token in `new`
+                if i and i != prev + 2:  # token i-1 was not merged by the previous site
+                    p = (old[i - 1], left)
+                    delta[p] = delta.get(p, 0) - 1
+                    p = (new[j - 1], merged)
+                    delta[p] = delta.get(p, 0) + 1
+                    where[p].add(si)
+                if i + 2 < n:
+                    p = (right, old[i + 2])
+                    delta[p] = delta.get(p, 0) - 1
+                    p = (merged, new[j + 1])
+                    delta[p] = delta.get(p, 0) + 1
+                    where[p].add(si)
+                prev = i
+            delta[pair] = delta.get(pair, 0) - len(sites)
             work[si] = new
 
-        merges.append(MergeRule(left, right, merged, rank, best_count))
+        for p, d in delta.items():
+            c = counts.get(p, 0) + d
+            if c:
+                counts[p] = c
+                if d > 0:
+                    heapq.heappush(heap, (-c, p))
+            else:
+                counts.pop(p, None)
+        merges.append(MergeRule(left, right, merged, len(merges), count))
 
     freq = Counter(tok for seq in work for tok in seq)
     substructures = sorted(
@@ -255,11 +333,32 @@ def mine_vocabulary(
 def segment(tokens: list[str], vocab: Vocabulary) -> list[str]:
     """Apply the vocabulary's merges in rank order to a token sequence.
 
+    Equal to walking every rule in rank order, where a rule whose pair is
+    absent changes nothing.  Instead, each step applies the smallest rank,
+    above the last rank applied, among the sequence's adjacent pairs.  The
+    guard "above the last rank applied" matters: a merged token can equal
+    a base token or an earlier product, so one pair can hold several
+    ranks, and a rule's product can recreate a pair whose earlier rank the
+    walk has already passed.
+
     Unknown tokens pass through unchanged; the output always concatenates
     back to the input string.
     """
+    ranks = vocab.merge_ranks()
     seq = list(tokens)
-    for rule in vocab.merges:
-        if rule.left in seq:
-            seq = _replace_pair(seq, rule.left, rule.right, rule.merged)
-    return seq
+    last = -1
+    end = len(vocab.merges)
+    while True:
+        best = end
+        for pair_ranks in map(ranks.get, zip(seq, seq[1:])):
+            if pair_ranks:
+                for r in pair_ranks:
+                    if r > last:
+                        if r < best:
+                            best = r
+                        break
+        if best == end:
+            return seq
+        rule = vocab.merges[best]
+        seq, _ = _replace_pair(seq, rule.left, rule.right, rule.merged)
+        last = best

@@ -13,7 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from caster import featurize
+from caster.corpus import UNLAB, PairCorpus, PairExample, atom_tokenize
 from caster.model import CasterModel, ModelConfig
+from caster.spm import mine_vocabulary
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -67,3 +70,25 @@ def test_traced_step_records_basis_and_ridge(perfbench):
     assert recorded.count_under(spans.BASIS, "model.step") == 2
     assert recorded.count_under(spans.BASIS, "model.dictionary_basis") == 1
     assert recorded.count_under("model.ridge", "model.step") > 0
+
+
+def test_traced_featurize_segments_each_compound_once(perfbench):
+    spans, _ = perfbench
+    compounds = ["CCOCC", "CCNCC", "OCCN", "CCOCC(N)O"]
+    vocab = mine_vocabulary([atom_tokenize(s) for s in compounds * 3], eta=3)
+    pairs = PairCorpus(
+        [PairExample(a, b) for i, a in enumerate(compounds) for b in compounds[i + 1 :]], UNLAB
+    )
+    rec = spans.Recorder()
+    rec.install()
+    try:
+        rec.active = True
+        featurize.featurize_pairs(pairs, vocab)
+        rec.active = False
+    finally:
+        rec.uninstall()
+    recorded = spans.Spans(rec)
+    memberships = recorded.of("featurize.membership")
+    assert len(memberships) == len(compounds)
+    segments_under = [recorded.parents[j] for j in recorded.of("spm.segment")]
+    assert sorted(segments_under) == memberships

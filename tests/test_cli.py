@@ -58,6 +58,13 @@ class TestMine:
         code = main(["mine", "--corpus", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "v.txt")])
         assert code == 1
 
+    def test_undecodable_corpus_exits_1(self, tmp_path, capsys):
+        corpus = tmp_path / "bad.smi"
+        corpus.write_bytes(b"CCO\nCCN\xff\n")
+        code = main(["mine", "--corpus", str(corpus), "--out", str(tmp_path / "v.txt")])
+        assert code == 1
+        assert f"{corpus}: line 2: invalid UTF-8 byte 0xff" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def trained(workspace, tmp_path_factory):
@@ -161,6 +168,16 @@ class TestPipeline:
                    "--pairs", str(root / "unlabelled.tsv"), "--out", str(tmp_path / "s.tsv")])
         assert rc == 1
         assert f"{bad}: line 2: frequency 'x' is not an integer" in capsys.readouterr().err
+
+    def test_undecodable_vocabulary_exits_1(self, trained, tmp_path, capsys):
+        root, out = trained
+        bad = tmp_path / "vocab.txt"
+        bad.write_bytes((root / "vocab.txt").read_bytes().replace(b"\t", b"\xff", 1))
+        rc = main(["predict", "--vocab", str(bad),
+                   "--checkpoint", str(out / "stage2" / "model.ckpt"),
+                   "--pairs", str(root / "unlabelled.tsv"), "--out", str(tmp_path / "s.tsv")])
+        assert rc == 1
+        assert f"{bad}: line 2: invalid UTF-8 byte 0xff" in capsys.readouterr().err
 
     def test_config_file_and_flag_precedence(self, workspace, tmp_path):
         root, _ = workspace

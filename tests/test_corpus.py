@@ -1,6 +1,7 @@
 """Tokenizer grammar, TSV ingestion and negative-pair sampling."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -160,6 +161,26 @@ class TestPairCorpusIO:
         p = tmp_path / "smiles.txt"
         p.write_text("CCO\nCCN\n\nC[bad\n")
         assert load_smiles_corpus(p) == ["CCO", "CCN"]
+
+    def test_pair_corpus_undecodable_byte_names_file_and_line(self, tmp_path):
+        p = tmp_path / "pairs.tsv"
+        p.write_bytes(b"smiles_1\tsmiles_2\tlabel\nCCO\tCCN\t1\nCC\xffO\tCCN\t0\n")
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(p))}: line 3: invalid UTF-8 byte 0xff$"):
+            load_pair_corpus(p, "labelled")
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_smiles_corpus_undecodable_byte_names_file_and_line(self, tmp_path, newline):
+        p = tmp_path / "smiles.txt"
+        p.write_bytes(newline.join([b"CCO", b"CCN", b"CC\xffN", b""]))
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(p))}: line 3: invalid UTF-8 byte 0xff$"):
+            load_smiles_corpus(p)
+
+    def test_smiles_corpus_splits_only_on_newlines(self, tmp_path):
+        # \x0c is a line boundary for str.splitlines but not for text-mode
+        # reading: the line stays one unparseable compound, not two.
+        p = tmp_path / "smiles.txt"
+        p.write_text("CCO\nCC\x0cCN\nCCS\n", encoding="utf-8")
+        assert load_smiles_corpus(p) == ["CCO", "CCS"]
 
 
 class TestNegativeSampling:

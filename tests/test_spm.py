@@ -1,4 +1,4 @@
-"""Miner correctness against a naive rescan simulator, plus vocab IO."""
+"""Miner and segmenter correctness against naive oracles, plus vocab IO."""
 
 import re
 from collections import Counter
@@ -6,7 +6,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caster.corpus import atom_tokenize
+from caster.cli import main
+from caster.corpus import atom_tokenize, load_smiles_corpus
 from caster.spm import MergeRule, Vocabulary, VocabularyError, mine_vocabulary, segment
 
 
@@ -44,6 +45,29 @@ def naive_miner(corpus, eta, ell):
     freq = Counter(tok for seq in work for tok in seq)
     subs = sorted(((t, c) for t, c in freq.items() if c >= eta), key=lambda tc: (-tc[1], tc[0]))
     return merges, subs, work
+
+
+def reference_segment(tokens, vocab):
+    """Sequential rule walk: apply every merge rule in rank order."""
+    seq = list(tokens)
+    for rule in vocab.merges:
+        if rule.left in seq:
+            seq = naive_replace(seq, rule.left, rule.right, rule.merged)
+    return seq
+
+
+# Multi-character base tokens that equal merge products ("A"+"B" = "AB"),
+# so one pair can be merged at several ranks.
+COLLIDING = ("A", "B", "AB", "C", "BC")
+
+# A few distinct strings, each drawn several times, so that one merge
+# rewrites several strings and their count deltas add up.
+colliding_corpora = st.lists(
+    st.lists(st.sampled_from(COLLIDING), min_size=1, max_size=12), min_size=1, max_size=6
+).flatmap(lambda distinct: st.lists(st.sampled_from(distinct), min_size=1, max_size=20))
+
+# Mined at eta=2: (ab, c) is merged at ranks 0 and 2.
+REPEATED_PAIR_CORPUS = [["ab", "c"]] * 6 + [["a", "b", "c"]] * 3 + [["a", "b"]] * 2
 
 
 def random_corpus(rng, max_strings=50, max_len=20, alphabet=("A", "B", "C", "D")):
@@ -96,6 +120,27 @@ class TestMineVocabulary:
             assert [(m.left, m.right, m.frequency_at_merge, m.rank) for m in vocab.merges] == merges
             assert vocab.substructures == subs
 
+    @settings(max_examples=300, deadline=None)
+    @given(colliding_corpora, st.integers(1, 6), st.integers(0, 25))
+    def test_matches_naive_simulator_on_colliding_tokens(self, corpus, eta, ell):
+        merges, subs, _ = naive_miner(corpus, eta, ell)
+        if not subs:
+            with pytest.raises(VocabularyError, match="threshold"):
+                mine_vocabulary(corpus, eta, ell)
+            return
+        vocab = mine_vocabulary(corpus, eta, ell)
+        assert [(m.left, m.right, m.frequency_at_merge, m.rank) for m in vocab.merges] == merges
+        assert vocab.substructures == subs
+
+    def test_repeated_pair_example(self):
+        # (ab,c)=6 beats (a,b)=5; merging (a,b) then recreates (ab,c) three times
+        vocab = mine_vocabulary(REPEATED_PAIR_CORPUS, eta=2)
+        assert [(m.left, m.right, m.frequency_at_merge) for m in vocab.merges] == [
+            ("ab", "c", 6), ("a", "b", 5), ("ab", "c", 3)
+        ]
+        assert vocab.substructures == [("abc", 9), ("ab", 2)]
+        assert vocab.merge_ranks()[("ab", "c")] == (0, 2)
+
     def test_monotone_in_eta(self, rng):
         for _ in range(20):
             corpus = random_corpus(rng, max_strings=20)
@@ -143,6 +188,59 @@ class TestSegment:
             _, _, final_work = naive_miner(corpus, eta, vocab.ell)
             for seq, mined in zip(corpus, final_work):
                 assert segment(seq, vocab) == mined
+
+    def test_repeated_pair_example(self):
+        vocab = mine_vocabulary(REPEATED_PAIR_CORPUS, eta=2)
+        assert segment(["a", "b", "c"], vocab) == ["abc"]
+        assert segment(["a", "b", "ab", "c"], vocab) == ["ab", "abc"]
+
+    def test_product_recreating_a_passed_pair_is_not_merged(self):
+        # the walk applies (AB,C) before (A,B) creates an AB token; a loop that
+        # always merges the lowest-ranked pair present would merge it anyway
+        vocab = self._vocab([("AB", "C"), ("A", "B")])
+        assert segment(["A", "B", "C"], vocab) == ["AB", "C"]
+        assert segment(["AB", "C", "A", "B", "C"], vocab) == ["ABC", "AB", "C"]
+
+    @pytest.mark.parametrize("merges", [
+        [("AB", "C"), ("A", "B"), ("AB", "C")],
+        [("A", "B"), ("B", "C"), ("A", "B"), ("AB", "C"), ("A", "BC")],
+        [("B", "C"), ("A", "BC"), ("A", "B"), ("AB", "C"), ("B", "C")],
+        [("A", "A"), ("AA", "A"), ("A", "A"), ("AA", "AA")],
+    ])
+    def test_repeated_pairs_match_rule_walk(self, merges):
+        vocab = self._vocab(merges)
+        for text in ("ABC", "ABCABC", "AABCBC", "ABABCC", "AAAAAAA", "CABBCA"):
+            tokens = list(text)
+            assert segment(tokens, vocab) == reference_segment(tokens, vocab)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(COLLIDING), st.sampled_from(COLLIDING)), min_size=2, max_size=12),
+        st.lists(st.lists(st.sampled_from(COLLIDING), min_size=2, max_size=20), max_size=5),
+    )
+    def test_matches_rule_walk_on_hand_built_rules(self, merge_pairs, probes):
+        rules = [MergeRule(l, r, l + r, i, 1) for i, (l, r) in enumerate(merge_pairs)]
+        vocab = Vocabulary(frozenset(COLLIDING), rules, [("A", 1)], 1, 100)
+        # each product spelled out letter by letter meets the rules that built it
+        for tokens in probes + [list(rule.merged) for rule in rules]:
+            assert segment(tokens, vocab) == reference_segment(tokens, vocab)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        colliding_corpora,
+        st.integers(1, 4),
+        st.lists(st.lists(st.sampled_from(COLLIDING), min_size=2, max_size=20), max_size=5),
+    )
+    def test_matches_rule_walk_on_mined_vocabularies(self, corpus, eta, probes):
+        try:
+            vocab = mine_vocabulary(corpus, eta)
+        except VocabularyError:
+            return
+        _, _, final_work = naive_miner(corpus, eta, vocab.ell)
+        for tokens, mined in zip(corpus, final_work):
+            assert segment(tokens, vocab) == reference_segment(tokens, vocab) == mined
+        for tokens in probes + [list(rule.merged) for rule in vocab.merges]:
+            assert segment(tokens, vocab) == reference_segment(tokens, vocab)
 
     @given(
         st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=25),
@@ -194,10 +292,32 @@ class TestVocabularyFile:
         with pytest.raises(VocabularyError, match=f"^{re.escape(str(path))}: line {lineno}: frequency"):
             Vocabulary.load(path)
 
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        text = mine_vocabulary([["C", "C"]] * 3, eta=2).to_text().encode()
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(text.replace(b"\n\n", b"\n\xff\n", 1))  # line 3: the separator
+        with pytest.raises(VocabularyError, match=f"^{re.escape(str(path))}: line 3: invalid UTF-8 byte 0xff$"):
+            Vocabulary.load(path)
+
     def test_substructure_order_is_index_order(self):
         vocab = mine_vocabulary([["C", "C"], ["C", "O"], ["O", "C"]], eta=1, ell=0)
         # descending frequency, ties by token text; index_of matches list order
         assert [vocab.index_of(tok) for tok, _ in vocab.substructures] == list(range(vocab.k))
+
+
+class TestMineCorpusFile:
+    def test_duplicate_lines_mine_like_the_naive_miner(self, tmp_path):
+        lines = ["CCOCC", "CCNCC", "CCOCC", "OCCN", "CCOCC", "CCNCC", "c1ccccc1", "OCCN"] * 3
+        path = tmp_path / "compounds.smi"
+        path.write_text("\n".join(lines) + "\n")
+        assert load_smiles_corpus(path) == lines
+        out = tmp_path / "vocab.txt"
+        assert main(["mine", "--corpus", str(path), "--min-freq", "3", "--out", str(out)]) == 0
+        vocab = Vocabulary.load(out)
+        merges, subs, _ = naive_miner([atom_tokenize(s) for s in lines], 3, vocab.ell)
+        assert merges
+        assert [(m.left, m.right, m.frequency_at_merge, m.rank) for m in vocab.merges] == merges
+        assert vocab.substructures == subs
 
 
 @pytest.fixture
