@@ -21,14 +21,12 @@ from . import model as model_mod
 from . import metrics
 from .corpus import (
     CorpusFormatError,
-    PairCorpus,
-    PairExample,
     SmilesParseError,
     atom_tokenize,
     load_pair_corpus,
     load_smiles_corpus,
 )
-from .featurize import featurize_pairs
+from .featurize import featurize_pairs, functional_representation
 from .model import (
     CasterModel,
     CheckpointError,
@@ -36,7 +34,7 @@ from .model import (
     ModelConfig,
     TrainingConfig,
     TrainingError,
-    explain_pair,
+    _explain_vector,
     load_checkpoint,
     save_checkpoint,
 )
@@ -287,12 +285,9 @@ def cmd_predict(args) -> int:
 def cmd_explain(args) -> int:
     vocab = _load_vocab(args.vocab)
     model = load_checkpoint(args.checkpoint, vocab=vocab)
-    atom_tokenize(args.left)
-    atom_tokenize(args.right)
-    probe = PairCorpus([PairExample(args.left, args.right)], "unlabelled")
-    X, _ = featurize_pairs(probe, vocab)
-    prob = float(model.predict_pairs(X)[0])
-    table = explain_pair(model, args.left, args.right, vocab)
+    # one segmentation per compound and one scorer for both the score and the table
+    r, table = _explain_vector(model, functional_representation(args.left, args.right, vocab), vocab)
+    prob = model.predict_probability(r)
     lines = "".join(f"{tok}\t{coef:.6f}\n" for tok, coef in table)
     if args.out:
         Path(args.out).write_text(lines, encoding="utf-8")

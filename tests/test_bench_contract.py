@@ -13,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import caster.model
 from caster import featurize
 from caster.corpus import UNLAB, PairCorpus, PairExample, atom_tokenize
 from caster.model import CasterModel, ModelConfig
-from caster.spm import mine_vocabulary
+from caster.spm import Vocabulary, mine_vocabulary
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -39,6 +40,39 @@ def test_every_span_target_resolves(perfbench):
             assert meth in vars(getattr(module, cls_name)), f"{module_name}.{attr}"
         else:
             assert callable(getattr(module, attr)), f"{module_name}.{attr}"
+
+
+def test_scoring_callables_are_span_targets(perfbench):
+    spans, _ = perfbench
+    targets = {(module_name, attr) for module_name, attr, _span in spans.TARGETS}
+    for attr in ("explain_pair", "CasterModel.predict_pairs", "CasterModel.dictionary_basis"):
+        assert ("caster.model", attr) in targets, attr
+
+
+def test_traced_explain_builds_the_basis_only_for_a_new_encoder(perfbench):
+    spans, _ = perfbench
+    atoms = [f"[C{i}]" for i in range(12)]
+    vocab = Vocabulary(frozenset(atoms), [], [(a, 1) for a in atoms], eta=1, ell=0)
+    left, right = "".join(atoms[:5]), "".join(atoms[3:9])
+    config = ModelConfig(latent_dim=3, encoder_hidden=(8,), decoder_hidden=(8,), predictor_hidden=(8,))
+    fresh, scored = CasterModel(12, config, seed=0), CasterModel(12, config, seed=1)
+    scored.predict_pairs(np.zeros((2, 12)))
+    rec = spans.Recorder()
+    rec.install()
+    try:
+        recorded = []
+        for m in (fresh, scored):
+            rec.clear()
+            rec.active = True
+            caster.model.explain_pair(m, left, right, vocab)  # looked up now: the patched name
+            rec.active = False
+            recorded.append(spans.Spans(rec))
+    finally:
+        rec.uninstall()
+    for spans_of_model, basis_builds in zip(recorded, (1, 0)):
+        assert spans_of_model.count("model.explain_pair") == 1
+        assert spans_of_model.count("model.dictionary_basis") == basis_builds
+        assert spans_of_model.count_under("model.dictionary_basis", "model.explain_pair") == basis_builds
 
 
 def test_computed_counts_run(perfbench):

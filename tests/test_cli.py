@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from caster.cli import main
-from caster.corpus import atom_tokenize, write_pair_corpus
+from caster.corpus import PairCorpus, PairExample, atom_tokenize, write_pair_corpus
 from caster.spm import Vocabulary, mine_vocabulary
 from caster.synthetic import planted_motif_dataset, unlabelled_pair_corpus
 
@@ -66,6 +66,13 @@ class TestMine:
         assert f"{corpus}: line 2: invalid UTF-8 byte 0xff" in capsys.readouterr().err
 
 
+def _positive_pair(root):
+    for line in (root / "labelled.tsv").read_text().splitlines()[1:]:
+        left, right, label = line.split("\t")
+        if label == "1":
+            return left, right
+
+
 @pytest.fixture(scope="module")
 def trained(workspace, tmp_path_factory):
     root, data = workspace
@@ -116,13 +123,7 @@ class TestPipeline:
 
     def test_explain_ranked_table(self, trained, tmp_path, capsys):
         root, out = trained
-        _, data = None, None
-        pair = None
-        for line in (root / "labelled.tsv").read_text().splitlines()[1:]:
-            left, right, label = line.split("\t")
-            if label == "1":
-                pair = (left, right)
-                break
+        pair = _positive_pair(root)
         table = tmp_path / "explain.tsv"
         rc = main(["explain", "--vocab", str(root / "vocab.txt"),
                    "--checkpoint", str(out / "stage2" / "model.ckpt"),
@@ -136,6 +137,69 @@ class TestPipeline:
         assert rows, "positive pair should share substructures"
         mags = [abs(float(c)) for _, c in rows]
         assert mags == sorted(mags, reverse=True)
+
+    def test_explain_segments_once_and_builds_one_basis(self, trained, tmp_path, monkeypatch, capsys):
+        import caster.featurize
+        import caster.spm
+        from caster.featurize import featurize_pairs
+        from caster.model import CasterModel, explain_pair, load_checkpoint
+
+        root, out = trained
+        vocab_path, ckpt = root / "vocab.txt", out / "stage2" / "model.ckpt"
+        left, right = _positive_pair(root)
+        calls = {"segment": 0, "dictionary_basis": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        segment = counted("segment", caster.spm.segment)
+        monkeypatch.setattr(caster.spm, "segment", segment)
+        monkeypatch.setattr(caster.featurize, "segment", segment)
+        monkeypatch.setattr(
+            CasterModel, "dictionary_basis", counted("dictionary_basis", CasterModel.dictionary_basis)
+        )
+        table = tmp_path / "explain.tsv"
+        rc = main(["explain", "--vocab", str(vocab_path), "--checkpoint", str(ckpt),
+                   "--left", left, "--right", right, "--out", str(table)])
+        assert rc == 0
+        assert calls == {"segment": 2, "dictionary_basis": 1}
+
+        # the same score and table as scoring and explaining separately
+        vocab = Vocabulary.load(vocab_path)
+        model = load_checkpoint(ckpt, vocab=vocab)
+        X, _ = featurize_pairs(PairCorpus([PairExample(left, right)], "unlabelled"), vocab)
+        assert capsys.readouterr().out == f"interaction probability: {model.predict_pairs(X)[0]:.6f}\n"
+        expected = explain_pair(model, left, right, vocab)
+        assert table.read_text() == "".join(f"{tok}\t{coef:.6f}\n" for tok, coef in expected)
+
+    def test_explain_pair_sharing_nothing_scores_the_zero_vector(self, trained, tmp_path, capsys, caplog):
+        from caster.model import load_checkpoint
+
+        root, out = trained
+        ckpt, table = out / "stage2" / "model.ckpt", tmp_path / "explain.tsv"
+        rc = main(["explain", "--vocab", str(root / "vocab.txt"), "--checkpoint", str(ckpt),
+                   "--left", "CCO", "--right", "I", "--out", str(table)])
+        assert rc == 0
+        assert table.read_text() == ""
+        assert "nothing to explain" in caplog.text
+        vocab = Vocabulary.load(root / "vocab.txt")
+        p = load_checkpoint(ckpt, vocab=vocab).predict_pairs(np.zeros((1, vocab.k)))[0]
+        assert capsys.readouterr().out == f"interaction probability: {p:.6f}\n"
+
+    @pytest.mark.parametrize("side", ["--left", "--right"])
+    def test_explain_bad_smiles_exits_1(self, trained, side, capsys):
+        root, out = trained
+        pair = dict(zip(("--left", "--right"), _positive_pair(root)))
+        pair[side] = "CC[C"
+        rc = main(["explain", "--vocab", str(root / "vocab.txt"),
+                   "--checkpoint", str(out / "stage2" / "model.ckpt"),
+                   "--left", pair["--left"], "--right", pair["--right"]])
+        assert rc == 1
+        assert "unbalanced '['" in capsys.readouterr().err
 
     def test_vocab_hash_mismatch_refused(self, trained, tmp_path):
         root, out = trained

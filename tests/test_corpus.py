@@ -4,7 +4,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from caster.corpus import (
     CorpusFormatError,
@@ -17,6 +17,7 @@ from caster.corpus import (
     sample_negative_pairs,
     write_pair_corpus,
 )
+from test_spm import DAMAGE, damage
 
 # Oracle for the two-letter rule: longest-match lookup over a token table.
 _TOKEN_TABLE = ("Cl", "Br")
@@ -181,6 +182,31 @@ class TestPairCorpusIO:
         p = tmp_path / "smiles.txt"
         p.write_text("CCO\nCC\x0cCN\nCCS\n", encoding="utf-8")
         assert load_smiles_corpus(p) == ["CCO", "CCS"]
+
+
+@pytest.fixture(scope="module")
+def saved_pair_corpora(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pairs")
+    compounds = ["CCO", "CCN", "c1ccccc1Cl", "CC(=O)O", "[NH4+]", "CCBr", "C%10CC%10"]
+    pairs = list(itertools.combinations(compounds, 2))
+    paths = {}
+    for kind, labels in (("labelled", [i % 2 for i in range(len(pairs))]), ("unlabelled", None)):
+        examples = [PairExample(a, b, None if labels is None else labels[i]) for i, (a, b) in enumerate(pairs)]
+        paths[kind] = root / f"{kind}.tsv"
+        write_pair_corpus(paths[kind], PairCorpus(examples, kind))
+    return paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["labelled", "unlabelled"]), **DAMAGE)
+def test_damaged_pair_corpus_raises_only_typed_errors(saved_pair_corpora, kind, cut, flips, inserts):
+    path = saved_pair_corpora[kind]
+    damaged = path.with_name(f"damaged_{kind}.tsv")
+    damaged.write_bytes(damage(path.read_bytes(), cut, flips, inserts))
+    try:
+        load_pair_corpus(damaged, kind)
+    except (CorpusFormatError, SmilesParseError) as err:
+        assert str(damaged) in str(err)
 
 
 class TestNegativeSampling:

@@ -12,6 +12,7 @@ from scipy.linalg import cho_factor, cho_solve
 import caster.model
 import caster.nn
 from caster.corpus import PairCorpus, PairExample
+from caster.featurize import featurize_pairs, functional_representation
 from caster.model import (
     CasterModel,
     CheckpointError,
@@ -30,7 +31,7 @@ from caster.model import (
     train,
     train_arrays,
 )
-from caster.nn import gradient_check
+from caster.nn import Adam, gradient_check
 from caster.spm import MergeRule, Vocabulary
 
 
@@ -117,6 +118,29 @@ def reference_step(model, X, y, training=True):
         grad_dicts.extend([enc_from_data, enc_from_basis])
     parts = {"recon": lr_loss, "proj": lp, "clf": lc}
     return loss, parts, caster.nn.merge_grads(*grad_dicts)
+
+
+def oracle_predict_pairs(model, X, chunk=1024):
+    """Oracle for predict_pairs: the dictionary basis rebuilt on every call."""
+    X = np.atleast_2d(X)
+    B = model.dictionary_basis()
+    out = np.empty(X.shape[0])
+    for lo in range(0, X.shape[0], chunk):
+        r = ridge_coefficients(model.encode(X[lo : lo + chunk]), B, model.weights.lambda1)
+        out[lo : lo + chunk] = model.predict_probability(r)
+    return out
+
+
+def oracle_explain_pair(model, left, right, vocab):
+    """Oracle for explain_pair: the dictionary basis rebuilt on every call."""
+    x = functional_representation(left, right, vocab)
+    present = np.flatnonzero(x)
+    if len(present) == 0:
+        return []
+    r = ridge_coefficients(model.encode(x), model.dictionary_basis(), model.weights.lambda1)
+    magnified = model.config.magnifier * r
+    ranked = sorted(present, key=lambda i: (-abs(magnified[i]), i))
+    return [(vocab.tokens()[i], float(magnified[i])) for i in ranked]
 
 
 def tiny_model(k=10, d=3, seed=0, weights=None, **cfg_kwargs):
@@ -669,6 +693,7 @@ class TestExplain:
             table = explain_pair(m, "CC", "OO", small_vocab)
         assert table == []
         assert any("nothing to explain" in rec.message for rec in caplog.records)
+        assert m._scorer is None  # nothing to rank, so nothing projected
 
     def test_only_present_substructures_ranked_by_magnitude(self, small_vocab):
         m = tiny_model(k=4, d=2, seed=8)
@@ -688,6 +713,135 @@ class TestExplain:
         idx = {tok: i for i, (tok, _) in enumerate(small_vocab.substructures)}
         for tok, coef in table.items():
             assert coef == pytest.approx(100.0 * r[idx[tok]])
+
+
+def _scorer_case(size, dtype, seed=6):
+    """A model, a vocabulary of k bracket atoms (no merges, so each atom is
+    its own substructure), 12 pairs that share a few of them and the pairs'
+    functional vectors."""
+    if size == "toy":
+        m = tiny_model(k=10, d=3, seed=seed, dtype=dtype)
+    else:
+        m = tiny_model(k=300, d=8, encoder_hidden=(64, 32), seed=seed, dtype=dtype)
+    atoms = [f"[C{i}]" for i in range(m.k)]
+    vocab = Vocabulary(frozenset(atoms), [], [(a, 1) for a in atoms], eta=1, ell=0)
+    rng = np.random.default_rng(seed)
+    examples = []
+    for _ in range(12):
+        shared, only_left, only_right = np.split(rng.permutation(m.k)[:9], [3, 6])
+        left = "".join(atoms[i] for i in np.concatenate([shared, only_left]))
+        right = "".join(atoms[i] for i in np.concatenate([only_right, shared]))
+        examples.append(PairExample(left, right))
+    pairs = PairCorpus(examples, "unlabelled")
+    X, _ = featurize_pairs(pairs, vocab)
+    return m, vocab, pairs, X
+
+
+def assert_matches_oracle(m, vocab, pairs, X):
+    """Scores and explanations of `m` against the recompute-per-call oracle;
+    returns the scores."""
+    scores = m.predict_pairs(X)
+    assert np.abs(scores - oracle_predict_pairs(m, X)).max() <= 1e-12
+    for ex in pairs:
+        table = explain_pair(m, ex.left, ex.right, vocab)
+        expected = oracle_explain_pair(m, ex.left, ex.right, vocab)
+        assert [tok for tok, _ in table] == [tok for tok, _ in expected]
+        np.testing.assert_allclose([c for _, c in table], [c for _, c in expected], rtol=0, atol=1e-12)
+    return scores
+
+
+class TestScorer:
+    """The frozen scorer against the oracle that rebuilds B on every call,
+    including after every way the encoder or lambda1 can change."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("size", ["toy", "k300"])
+    def test_matches_oracle(self, size, dtype):
+        m, vocab, pairs, X = _scorer_case(size, dtype)
+        first = assert_matches_oracle(m, vocab, pairs, X)
+        np.testing.assert_array_equal(assert_matches_oracle(m, vocab, pairs, X), first)
+        z = m.encode(X)
+        B = m.dictionary_basis()
+        np.testing.assert_array_equal(m.project(z), ridge_coefficients(z, B, m.weights.lambda1))
+        np.testing.assert_array_equal(m.project(z[0]), ridge_coefficients(z[0], B, m.weights.lambda1))
+
+    def test_unchanged_model_builds_basis_once(self, monkeypatch):
+        m, vocab, pairs, X = _scorer_case("k300", "float64")
+        basis = CasterModel.dictionary_basis
+        calls = []
+
+        def counted(model):
+            calls.append(model)
+            return basis(model)
+
+        monkeypatch.setattr(CasterModel, "dictionary_basis", counted)
+        for _ in range(3):
+            m.predict_pairs(X)
+            for ex in pairs:
+                explain_pair(m, ex.left, ex.right, vocab)
+            m.project(m.encode(X))
+        assert len(calls) == 1
+        assert m.scorer() is m.scorer()
+
+    def test_scorer_is_read_only(self):
+        m, _, _, _ = _scorer_case("toy", "float64")
+        s = m.scorer()
+        for arr in (s.B, s.M, s.factor, *s.encoder_arrays.values()):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+        # copies, not views of the live encoder
+        assert not any(np.shares_memory(a, s.encoder_arrays[n]) for n, a in m.encoder.state_arrays().items())
+
+    def _changed(self, change, dtype):
+        """Score once, apply `change` to the model, and check that the output
+        moved and still equals the oracle."""
+        m, vocab, pairs, X = _scorer_case("k300", dtype)
+        before = assert_matches_oracle(m, vocab, pairs, X)
+        m = change(m, X) or m
+        after = assert_matches_oracle(m, vocab, pairs, X)
+        assert np.abs(after - before).max() > 0
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_after_adam_step(self, dtype):
+        def adam_step(m, X):
+            y = np.arange(len(X)) % 2.0
+            _, _, grads = m.step(X, y)
+            Adam(m.parameters(), lr=1e-2).step(grads)
+
+        self._changed(adam_step, dtype)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_after_restore(self, dtype):
+        def restore(m, X):
+            other, _, _, _ = _scorer_case("k300", dtype, seed=7)
+            m.restore(other.snapshot())
+
+        self._changed(restore, dtype)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_after_one_entry_written_in_place(self, dtype):
+        def write(m, X):
+            m.encoder.layers[0].W[5, int(np.flatnonzero(X[0])[0])] += 0.25
+
+        self._changed(write, dtype)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_after_lambda1_change(self, dtype):
+        def new_weights(m, X):
+            m.weights = LossWeights(lambda1=0.5)
+
+        self._changed(new_weights, dtype)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_model_from_checkpoint(self, tmp_path, dtype):
+        def reload(m, X):
+            other, _, _, _ = _scorer_case("k300", dtype, seed=7)
+            save_checkpoint(tmp_path / "model.ckpt", other)
+            loaded = load_checkpoint(tmp_path / "model.ckpt")
+            np.testing.assert_array_equal(loaded.predict_pairs(X), other.predict_pairs(X))
+            return loaded
+
+        self._changed(reload, dtype)
 
 
 @pytest.fixture(scope="module")

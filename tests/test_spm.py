@@ -305,6 +305,51 @@ class TestVocabularyFile:
         assert [vocab.index_of(tok) for tok, _ in vocab.substructures] == list(range(vocab.k))
 
 
+# Byte values a damaged text file is likely to hold: the format's separators
+# and digits, SMILES characters, non-UTF-8 lead bytes, or anything else.
+DAMAGE_BYTES = st.sampled_from(b"\t\n\r 0123456789-=+eC()[]l\x80\xc3\xff") | st.integers(0, 255)
+DAMAGE = dict(
+    cut=st.none() | st.floats(0.0, 1.0, exclude_max=True),
+    flips=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), DAMAGE_BYTES), max_size=3),
+    inserts=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.lists(DAMAGE_BYTES, min_size=1, max_size=4).map(bytes)),
+        max_size=3,
+    ),
+)
+
+
+def damage(data: bytes, cut, flips, inserts) -> bytes:
+    """`data` with bytes overwritten, then inserted, then the tail cut off."""
+    out = bytearray(data)
+    for where, value in flips:
+        out[int(where * len(out))] = value
+    for where, chunk in inserts:
+        at = int(where * len(out))
+        out[at:at] = chunk
+    if cut is not None:
+        del out[int(cut * len(out)) :]
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def saved_vocabulary(tmp_path_factory):
+    corpus = [atom_tokenize(s) for s in ("CCOCC", "CCNCC", "CCOCC(N)O", "OCCN", "c1ccccc1Cl")] * 3
+    path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
+    mine_vocabulary(corpus, eta=3).save(path)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(**DAMAGE)
+def test_damaged_vocabulary_raises_only_vocabulary_error(saved_vocabulary, cut, flips, inserts):
+    damaged = saved_vocabulary.with_name("damaged.txt")
+    damaged.write_bytes(damage(saved_vocabulary.read_bytes(), cut, flips, inserts))
+    try:
+        Vocabulary.load(damaged)
+    except VocabularyError as err:
+        assert str(damaged) in str(err)
+
+
 class TestMineCorpusFile:
     def test_duplicate_lines_mine_like_the_naive_miner(self, tmp_path):
         lines = ["CCOCC", "CCNCC", "CCOCC", "OCCN", "CCOCC", "CCNCC", "c1ccccc1", "OCCN"] * 3
