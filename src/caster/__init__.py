@@ -17,7 +17,6 @@ from .corpus import (
     sample_negative_pairs,
 )
 from .featurize import (
-    export_features,
     featurize_pairs,
     functional_representation,
     substructure_membership,
@@ -33,7 +32,6 @@ from .model import (
     explain_pair,
     load_checkpoint,
     pretrain,
-    projection_loss,
     reconstruction_loss,
     ridge_coefficients,
     save_checkpoint,
@@ -55,7 +53,6 @@ __all__ = [
     "Vocabulary",
     "mine_vocabulary",
     "segment",
-    "export_features",
     "featurize_pairs",
     "functional_representation",
     "substructure_membership",
@@ -70,7 +67,6 @@ __all__ = [
     "TrainResult",
     "reconstruction_loss",
     "classification_loss",
-    "projection_loss",
     "ridge_coefficients",
     "explain_pair",
     "pretrain",

@@ -25,11 +25,11 @@ from .corpus import (
     atom_tokenize,
     load_pair_corpus,
     load_smiles_corpus,
+    undecodable,
 )
 from .featurize import featurize_pairs, functional_representation
 from .model import (
     CasterModel,
-    CheckpointError,
     LossWeights,
     ModelConfig,
     TrainingConfig,
@@ -80,8 +80,12 @@ _CASTS = {
 
 
 def _read_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise undecodable(path, UsageError) from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -99,7 +103,7 @@ class Settings:
         self._args = vars(args)
         self._file = _read_config_file(args.config) if getattr(args, "config", None) else {}
 
-    def get(self, key: str, default=None):
+    def get(self, key: str):
         flag = self._args.get(key)
         if flag is not None:
             return flag
@@ -108,7 +112,7 @@ class Settings:
             return cast(self._file[key])
         if key in DEFAULTS:
             return _CASTS.get(key, str)(str(DEFAULTS[key])) if key in _CASTS else DEFAULTS[key]
-        return default
+        return None
 
     def seed(self) -> int:
         value = self.get("seed")
@@ -216,13 +220,9 @@ def cmd_mine(args) -> int:
     return 0
 
 
-def _load_vocab(path) -> Vocabulary:
-    return Vocabulary.load(path)
-
-
 def cmd_pretrain(args) -> int:
     s = Settings(args)
-    vocab = _load_vocab(args.vocab)
+    vocab = Vocabulary.load(args.vocab)
     corpus = load_pair_corpus(args.unlabelled, "unlabelled")
     config = _training_config(s)
     weights = _loss_weights(s)
@@ -244,7 +244,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     s = Settings(args)
-    vocab = _load_vocab(args.vocab)
+    vocab = Vocabulary.load(args.vocab)
     corpus = load_pair_corpus(args.labelled, "labelled")
     config = _training_config(s)
     weights = _loss_weights(s)
@@ -270,7 +270,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    vocab = _load_vocab(args.vocab)
+    vocab = Vocabulary.load(args.vocab)
     model = load_checkpoint(args.checkpoint, vocab=vocab)
     corpus = load_pair_corpus(args.pairs, "unlabelled")
     X, _ = featurize_pairs(corpus, vocab)
@@ -283,7 +283,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    vocab = _load_vocab(args.vocab)
+    vocab = Vocabulary.load(args.vocab)
     model = load_checkpoint(args.checkpoint, vocab=vocab)
     # one segmentation per compound and one scorer for both the score and the table
     r, table = _explain_vector(model, functional_representation(args.left, args.right, vocab), vocab)
@@ -388,16 +388,10 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except CheckpointError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except (CorpusFormatError, SmilesParseError, VocabularyError, TrainingError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except ValueError as err:
+    except ValueError as err:  # UsageError, CheckpointError and invalid settings
         print(f"error: {err}", file=sys.stderr)
         return 2
 

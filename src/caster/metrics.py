@@ -94,14 +94,10 @@ def coefficient_correlation(runs) -> tuple[np.ndarray, float]:
     return corr, mean_off
 
 
-def report_line(values: dict[str, float]) -> str:
-    """Single-line TSV metrics report: roc_auc, pr_auc, f1."""
-    return f"{values['roc_auc']:.6f}\t{values['pr_auc']:.6f}\t{values['f1']:.6f}\n"
-
-
 def write_report(path, values: dict[str, float]) -> None:
+    """Single-line TSV metrics report: roc_auc, pr_auc, f1."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report_line(values))
+        fh.write(f"{values['roc_auc']:.6f}\t{values['pr_auc']:.6f}\t{values['f1']:.6f}\n")
 
 
 HISTORY_COLUMNS = ("epoch", "loss", "recon", "proj", "clf", "val_roc_auc")

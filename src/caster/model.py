@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import lzma
+import math
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, field, fields
@@ -36,6 +37,8 @@ CKPT_MAGIC = "caster-ckpt"
 CKPT_VERSION = 2
 
 _CLAMP = 1e-12
+# rows per predict_pairs pass: bounds the (rows, k) coefficient array
+_PREDICT_ROWS = 1024
 
 
 class TrainingError(RuntimeError):
@@ -75,6 +78,13 @@ class ModelConfig:
     magnifier: float = 100.0
     dtype: str = "float64"
 
+    def __post_init__(self):
+        if self.dtype not in ("float64", "float32"):
+            raise ValueError(f"dtype must be 'float64' or 'float32', got {self.dtype!r}")
+        for name in ("encoder_hidden", "decoder_hidden", "predictor_hidden"):
+            if any(size < 1 for size in getattr(self, name)):
+                raise ValueError(f"{name} sizes must be >= 1, got {getattr(self, name)}")
+
     def np_dtype(self):
         return np.dtype(self.dtype)
 
@@ -94,12 +104,18 @@ class TrainingConfig:
     def __post_init__(self):
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch normalization)")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
         if any(r <= 0 for r in self.split_ratio) or abs(sum(self.split_ratio) - 1.0) > 1e-9:
             raise ValueError("split ratios must be positive and sum to 1")
         if self.split_mode != "ratio":
-            if not self.split_mode.startswith("folds:") or int(self.split_mode[6:]) < 2:
-                raise ValueError(f"split_mode must be 'ratio' or 'folds:<n>', got {self.split_mode!r}")
-            if not 0 <= self.fold_index < int(self.split_mode[6:]):
+            try:
+                n_folds = int(self.split_mode[6:]) if self.split_mode.startswith("folds:") else 0
+            except ValueError:
+                n_folds = 0
+            if n_folds < 2:
+                raise ValueError(f"split_mode must be 'ratio' or 'folds:<n>' with n >= 2, got {self.split_mode!r}")
+            if not 0 <= self.fold_index < n_folds:
                 raise ValueError("fold_index out of range")
 
 
@@ -122,22 +138,6 @@ def classification_loss(p: np.ndarray, y: np.ndarray) -> float:
     p = np.clip(np.asarray(p, dtype=np.float64), _CLAMP, 1.0 - _CLAMP)
     y = np.asarray(y, dtype=np.float64)
     return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean())
-
-
-def projection_loss(z, B, r, lambda1: float, lambda2: float) -> float:
-    """Ridge projection objective plus the basis Frobenius penalty, for any r.
-
-    The residual and coefficient terms are averaged over the batch; the
-    lambda2 * ||B||_F^2 term is charged once (it regularizes parameters,
-    not data).  `CasterModel.step` evaluates it at the ridge solution in
-    closed form: (lambda1/2) mean(z^T (B B^T + lambda1 I)^{-1} z) + lambda2 ||B||^2.
-    """
-    z = np.atleast_2d(z)
-    r = np.atleast_2d(r)
-    resid = z - r @ B.T
-    data_term = 0.5 * float((resid**2).sum(axis=1).mean())
-    coef_term = 0.5 * lambda1 * float((r**2).sum(axis=1).mean())
-    return data_term + coef_term + lambda2 * float((B**2).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +297,6 @@ class CasterModel:
         if _state is not None:
             self._adopt(_state)
 
-    @property
-    def latent_dim(self) -> int:
-        return self.config.latent_dim
-
     def parameters(self) -> dict[str, np.ndarray]:
         return {
             **self.encoder.parameters(),
@@ -393,15 +389,16 @@ class CasterModel:
         p = sigmoid(logits[:, 0])
         return float(p[0]) if single else p
 
-    def predict_pairs(self, X: np.ndarray, chunk: int = 1024) -> np.ndarray:
-        """Interaction probabilities for a batch of functional vectors."""
+    def predict_pairs(self, X: np.ndarray) -> np.ndarray:
+        """Interaction probabilities for a batch of functional vectors, scored
+        `_PREDICT_ROWS` rows at a time."""
         X = np.atleast_2d(X)
         scorer = self.scorer()
         out = np.empty(X.shape[0], dtype=np.float64)
-        for lo in range(0, X.shape[0], chunk):
-            part = X[lo : lo + chunk]
+        for lo in range(0, X.shape[0], _PREDICT_ROWS):
+            part = X[lo : lo + _PREDICT_ROWS]
             r = scorer.project(self.encode(part))
-            out[lo : lo + chunk] = self.predict_probability(r)
+            out[lo : lo + _PREDICT_ROWS] = self.predict_probability(r)
         return out
 
     # -- one training step (forward + analytic backward) --------------------
@@ -528,7 +525,6 @@ def pretrain(
     unlabelled: PairCorpus,
     vocab: Vocabulary,
     config: TrainingConfig,
-    weights: LossWeights | None = None,
 ) -> list[dict]:
     """Stage 1: unsupervised training on unlabelled pairs.
 
@@ -537,8 +533,6 @@ def pretrain(
     """
     if len(unlabelled) == 0:
         raise TrainingError("unlabelled corpus is empty")
-    if weights is not None:
-        model.weights = weights
     X, _ = featurize_pairs(unlabelled, vocab)
     return pretrain_arrays(model, X, config)
 
@@ -571,7 +565,6 @@ def train(
     labelled: PairCorpus,
     vocab: Vocabulary,
     config: TrainingConfig,
-    weights: LossWeights | None = None,
 ) -> TrainResult:
     """Stage 2: supervised fine-tuning with early stopping.
 
@@ -579,8 +572,6 @@ def train(
     validation ROC-AUC each epoch, restores the best checkpoint and
     reports test metrics.
     """
-    if weights is not None:
-        model.weights = weights
     X, y = featurize_pairs(labelled, vocab)
     if y is None:
         raise TrainingError("supervised training needs a labelled corpus")

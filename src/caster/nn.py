@@ -1,16 +1,16 @@
 """Minimal dense-network building blocks on numpy.
 
 Hand-written forward/backward passes for affine layers, ReLU, sigmoid and
-1-D batch normalization, plus a bias-corrected Adam optimizer and a
-central-finite-difference gradient checker.  Caches are passed explicitly
-so the same layer can be applied to several inputs within one step.
-Double precision throughout by default.
+1-D batch normalization, plus a bias-corrected Adam optimizer.  Caches are
+passed explicitly so the same layer can be applied to several inputs
+within one step.  Double precision throughout by default.  The
+central-finite-difference gradient checker that verifies these passes
+lives in the tests (`tests/test_nn.py`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit as sigmoid  # numerically stable logistic
@@ -147,14 +147,6 @@ class MLP:
         self.layers = [Dense(dims[i], dims[i + 1], rng, dtype) for i in range(len(dims) - 1)]
         self.norms = [BatchNorm1d(h, dtype=dtype) for h in hidden] if batchnorm else None
 
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].out_dim
-
     def parameters(self) -> dict[str, np.ndarray]:
         """Trainable arrays, keyed by stable names (views, not copies)."""
         params: dict[str, np.ndarray] = {}
@@ -256,67 +248,6 @@ class Adam:
             m += (1.0 - self.beta1) * (g - m)
             v += (1.0 - self.beta2) * (g * g - v)
             p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    passed: bool
-    worst_param: str
-    worst_index: tuple
-    n_checked: int
-    per_param: dict[str, float]
-
-
-def gradient_check(
-    loss_fn,
-    params: dict[str, np.ndarray],
-    tolerance: float = 1e-4,
-    step: float = 1e-5,
-    max_entries_per_param: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    `loss_fn` takes no arguments, reads the (mutated) `params` arrays and
-    returns (loss, grads) with grads keyed like `params`.  The relative
-    error uses a small floor in the denominator so finite-difference noise
-    on near-zero gradients does not register as failure.
-    """
-    loss, analytic = loss_fn()
-    if not np.isfinite(loss):
-        raise ValueError(f"loss is not finite: {loss}")
-
-    max_rel = 0.0
-    worst = ("", ())
-    n_checked = 0
-    per_param: dict[str, float] = {}
-    for name, p in params.items():
-        a = analytic.get(name)
-        if a is None:
-            continue
-        indices = list(np.ndindex(p.shape))
-        if max_entries_per_param is not None and len(indices) > max_entries_per_param:
-            picker = rng if rng is not None else np.random.default_rng(0)
-            chosen = picker.choice(len(indices), size=max_entries_per_param, replace=False)
-            indices = [indices[i] for i in chosen]
-        param_max = 0.0
-        for idx in indices:
-            orig = p[idx]
-            p[idx] = orig + step
-            loss_plus, _ = loss_fn()
-            p[idx] = orig - step
-            loss_minus, _ = loss_fn()
-            p[idx] = orig
-            numeric = (loss_plus - loss_minus) / (2.0 * step)
-            rel = abs(a[idx] - numeric) / max(abs(a[idx]), abs(numeric), 1e-4)
-            param_max = max(param_max, rel)
-            n_checked += 1
-            if rel > max_rel:
-                max_rel = rel
-                worst = (name, idx)
-        per_param[name] = param_max
-    return GradCheckReport(max_rel, max_rel <= tolerance, worst[0], worst[1], n_checked, per_param)
 
 
 def merge_grads(*grad_dicts: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

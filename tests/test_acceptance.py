@@ -26,12 +26,12 @@ from caster.model import (
     save_checkpoint,
     train_arrays,
 )
-from caster.nn import gradient_check
 from caster.spm import Vocabulary, mine_vocabulary, segment
 from caster.synthetic import DEFAULT_MOTIF, planted_motif_dataset, unlabelled_pair_corpus
 
 from test_metrics import f1_oracle, pairwise_roc_oracle, stepwise_pr_oracle
 from test_model import primal_ridge
+from test_nn import gradient_check
 from test_spm import naive_miner, random_corpus
 
 

@@ -309,3 +309,46 @@ class TestMoreCli:
                 (tmp_path / name / "history.tsv").read_bytes(),
             ))
         assert outputs[0] == outputs[1]
+
+
+class TestSettingsValidation:
+    """Invalid settings exit 2 with an error that names the setting, before
+    any training, whether they come from a flag or a --config file."""
+
+    def _train(self, workspace, tmp_path, *extra):
+        root, _ = workspace
+        return main(["train", "--vocab", str(root / "vocab.txt"),
+                     "--labelled", str(root / "labelled.tsv"),
+                     "--out-dir", str(tmp_path / "out"), *SMALL_NET, *extra])
+
+    @pytest.mark.parametrize("dtype", ["foo", "int64", "float16", "complex128"])
+    def test_config_file_dtype_exits_2(self, workspace, tmp_path, capsys, dtype):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"dtype={dtype}\n")
+        assert self._train(workspace, tmp_path, "--config", str(conf)) == 2
+        assert f"dtype must be 'float64' or 'float32', got '{dtype}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--encoder-hidden", "--decoder-hidden", "--predictor-hidden"])
+    def test_zero_width_layer_exits_2(self, workspace, tmp_path, capsys, flag):
+        assert self._train(workspace, tmp_path, flag, "24,0") == 2
+        name = flag[2:].replace("-", "_")
+        assert f"{name} sizes must be >= 1, got (24, 0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lr", ["-1", "0", "nan", "inf"])
+    def test_learning_rate_must_be_finite_and_positive(self, workspace, tmp_path, capsys, lr):
+        assert self._train(workspace, tmp_path, "--lr", lr) == 2
+        assert "lr must be a finite number > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["folds:x", "folds:", "folds:1", "fold:3"])
+    def test_bad_split_mode_names_the_setting(self, workspace, tmp_path, capsys, mode):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"split_mode={mode}\n")
+        assert self._train(workspace, tmp_path, "--config", str(conf)) == 2
+        assert f"split_mode must be 'ratio' or 'folds:<n>' with n >= 2, got '{mode}'" in capsys.readouterr().err
+
+    def test_undecodable_config_file_names_file_and_line(self, workspace, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"max_epochs=2\n# comment\nlatent_dim=6\xff\n")
+        assert self._train(workspace, tmp_path, "--config", str(conf)) == 2
+        assert f"{conf}: line 3: invalid UTF-8 byte 0xff" in capsys.readouterr().err

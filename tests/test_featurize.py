@@ -1,11 +1,10 @@
-"""Functional vectors: shared-substructure bits, batches and sparse export."""
+"""Functional vectors: shared-substructure bits and batches."""
 
 import numpy as np
 import pytest
 
 from caster.corpus import PairCorpus, PairExample, atom_tokenize
 from caster.featurize import (
-    export_features,
     featurize_pairs,
     functional_representation,
     substructure_membership,
@@ -86,13 +85,3 @@ class TestBatchFeaturization:
         corpus = PairCorpus([PairExample("CCO", "CCN")], "unlabelled")
         X, y = featurize_pairs(corpus, vocab)
         assert y is None and X.shape == (1, 3)
-
-    def test_export_sparse_tsv(self, vocab, tmp_path):
-        corpus = PairCorpus(
-            [PairExample("CCO", "OCC", 1), PairExample("CC", "OO", 0)], "labelled"
-        )
-        path = tmp_path / "features.tsv"
-        export_features(path, corpus, vocab)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "0\t0,1\t1"
-        assert lines[1] == "1\t\t0"

@@ -23,7 +23,6 @@ from caster.model import (
     explain_pair,
     load_checkpoint,
     pretrain_arrays,
-    projection_loss,
     reconstruction_loss,
     ridge_coefficients,
     save_checkpoint,
@@ -31,8 +30,10 @@ from caster.model import (
     train,
     train_arrays,
 )
-from caster.nn import Adam, gradient_check
+from caster.nn import Adam
 from caster.spm import MergeRule, Vocabulary
+
+from test_nn import gradient_check
 
 
 @pytest.fixture
@@ -48,6 +49,23 @@ def primal_ridge(z, B, lam):
     R = cho_solve(factor, rhs)
     R += cho_solve(factor, rhs - M @ R)  # one correction pass, as the solver under test does
     return R.T[0] if z.ndim == 1 else R.T
+
+
+def projection_loss(z, B, r, lambda1: float, lambda2: float) -> float:
+    """Oracle for the closed-form L_proj of CasterModel.step: the ridge
+    projection objective plus the basis Frobenius penalty, for any r.
+
+    The residual and coefficient terms are averaged over the batch; the
+    lambda2 * ||B||_F^2 term is charged once (it regularizes parameters,
+    not data).  `CasterModel.step` evaluates it at the ridge solution in
+    closed form: (lambda1/2) mean(z^T (B B^T + lambda1 I)^{-1} z) + lambda2 ||B||^2.
+    """
+    z = np.atleast_2d(z)
+    r = np.atleast_2d(r)
+    resid = z - r @ B.T
+    data_term = 0.5 * float((resid**2).sum(axis=1).mean())
+    coef_term = 0.5 * lambda1 * float((r**2).sum(axis=1).mean())
+    return data_term + coef_term + lambda2 * float((B**2).sum())
 
 
 def reference_step(model, X, y, training=True):
