@@ -70,12 +70,21 @@ DEFAULTS = {
     "dtype": "float64",
 }
 
+
+def _parse_hidden(text) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in str(text).split(",") if t)
+    except ValueError:
+        raise ValueError("expected comma-separated layer sizes") from None
+
+
 _CASTS = {
     "min_freq": int, "max_merges": int, "latent_dim": int, "batch_size": int,
     "pretrain_epochs": int, "max_epochs": int, "patience": int, "fold_index": int,
     "seed": int,
     "alpha": float, "beta": float, "gamma": float, "lambda1": float, "lambda2": float,
     "magnifier": float, "lr": float,
+    "encoder_hidden": _parse_hidden, "decoder_hidden": _parse_hidden, "predictor_hidden": _parse_hidden,
 }
 
 
@@ -101,18 +110,33 @@ class Settings:
 
     def __init__(self, args: argparse.Namespace):
         self._args = vars(args)
-        self._file = _read_config_file(args.config) if getattr(args, "config", None) else {}
+        self._config = getattr(args, "config", None)
+        self._file = _read_config_file(self._config) if self._config else {}
 
-    def get(self, key: str):
+    def _lookup(self, key: str):
+        """(raw value, where it is set): its flag, the config file, or None
+        for a default."""
         flag = self._args.get(key)
         if flag is not None:
-            return flag
+            return flag, "--" + key.replace("_", "-")
         if key in self._file:
-            cast = _CASTS.get(key, str)
-            return cast(self._file[key])
-        if key in DEFAULTS:
-            return _CASTS.get(key, str)(str(DEFAULTS[key])) if key in _CASTS else DEFAULTS[key]
-        return None
+            return self._file[key], self._config
+        return DEFAULTS.get(key), None
+
+    def source(self, key: str) -> str | None:
+        return self._lookup(key)[1]
+
+    def get(self, key: str):
+        """The value of `key`, cast to its type; a value that does not cast
+        raises UsageError naming the key and where it is set."""
+        raw, source = self._lookup(key)
+        cast = _CASTS.get(key)
+        if raw is None or cast is None:
+            return raw
+        try:
+            return cast(raw)
+        except ValueError as err:
+            raise UsageError(f"{source}: bad value {raw!r} for {key}: {err}") from None
 
     def seed(self) -> int:
         value = self.get("seed")
@@ -125,13 +149,6 @@ class Settings:
         out = {key: self.get(key) for key in keys}
         out["seed"] = self.seed()
         return out
-
-
-def _parse_hidden(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in str(text).split(",") if t)
-    except ValueError as err:
-        raise UsageError(f"bad layer-size list {text!r}") from err
 
 
 def _parse_split(text: str) -> tuple[float, float, float]:
@@ -160,14 +177,21 @@ _TRAIN_KEYS = (
 
 
 def _model_config(s: Settings) -> ModelConfig:
-    return ModelConfig(
-        latent_dim=s.get("latent_dim"),
-        encoder_hidden=_parse_hidden(s.get("encoder_hidden")),
-        decoder_hidden=_parse_hidden(s.get("decoder_hidden")),
-        predictor_hidden=_parse_hidden(s.get("predictor_hidden")),
-        magnifier=s.get("magnifier"),
-        dtype=s.get("dtype"),
-    )
+    try:
+        return ModelConfig(**{key: s.get(key) for key in _MODEL_KEYS})
+    except ValueError as err:
+        raise UsageError(str(err)) from err
+
+
+def _check_architecture(s: Settings, config: ModelConfig, path) -> None:
+    """Refuse an architecture setting that disagrees with the checkpoint at `path`."""
+    for key in _MODEL_KEYS:
+        source, ours, theirs = s.source(key), s.get(key), getattr(config, key)
+        if source is not None and ours != theirs:
+            raise UsageError(
+                f"{source}: {key}={_show(ours)} disagrees with the checkpoint {path}, "
+                f"which has {key}={_show(theirs)}; leave it unset or match it"
+            )
 
 
 def _loss_weights(s: Settings) -> LossWeights:
@@ -194,10 +218,16 @@ def _training_config(s: Settings) -> TrainingConfig:
         raise UsageError(str(err)) from err
 
 
-def _echo_config(out_dir: Path, s: Settings, keys) -> None:
+def _show(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _echo_config(out_dir: Path, s: Settings, model: CasterModel) -> None:
+    """Write the settings in effect and the architecture of `model`."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = sorted(s.effective(keys).items())
-    text = "".join(f"{k}={v}\n" for k, v in rows)
+    values = s.effective(_WEIGHT_KEYS + _TRAIN_KEYS)
+    values.update((key, getattr(model.config, key)) for key in _MODEL_KEYS)
+    text = "".join(f"{k}={_show(v)}\n" for k, v in sorted(values.items()))
     (out_dir / "config_used.txt").write_text(text, encoding="utf-8")
 
 
@@ -228,7 +258,7 @@ def cmd_pretrain(args) -> int:
     weights = _loss_weights(s)
     model = CasterModel(vocab.k, _model_config(s), weights, seed=s.seed(), vocab_hash=vocab.content_hash())
     out_dir = Path(args.out_dir)
-    _echo_config(out_dir, s, _MODEL_KEYS + _WEIGHT_KEYS + _TRAIN_KEYS)
+    _echo_config(out_dir, s, model)
     history = model_mod.pretrain(model, corpus, vocab, config)
     ckpt = out_dir / "pretrained.ckpt"
     save_checkpoint(ckpt, model)
@@ -250,13 +280,14 @@ def cmd_train(args) -> int:
     weights = _loss_weights(s)
     if args.init_checkpoint:
         model = load_checkpoint(args.init_checkpoint, vocab=vocab)
+        _check_architecture(s, model.config, args.init_checkpoint)
         model.weights = weights
     else:
         model = CasterModel(
             vocab.k, _model_config(s), weights, seed=s.seed(), vocab_hash=vocab.content_hash()
         )
     out_dir = Path(args.out_dir)
-    _echo_config(out_dir, s, _MODEL_KEYS + _WEIGHT_KEYS + _TRAIN_KEYS)
+    _echo_config(out_dir, s, model)
     result = model_mod.train(model, corpus, vocab, config)
     save_checkpoint(out_dir / "model.ckpt", model)
     metrics.write_history(out_dir / "history.tsv", result.history)
@@ -354,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labelled", required=True, help="TSV: smiles_1<TAB>smiles_2<TAB>label")
     p.add_argument("--init-checkpoint", dest="init_checkpoint",
                    help="stage-1 checkpoint; when set, the architecture comes from "
-                        "the checkpoint and architecture flags are ignored")
+                        "the checkpoint, and an architecture setting must match it or be unset")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     _add_hyper(p)
     _add_common(p)

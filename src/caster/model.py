@@ -21,14 +21,13 @@ import math
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, field, fields
-from types import MappingProxyType
 
 import numpy as np
 
 from . import metrics
 from .corpus import PairCorpus
 from .featurize import featurize_pairs, functional_representation
-from .nn import MLP, Adam, Identity, merge_grads, sigmoid
+from .nn import MLP, Adam, Identity, Parameters, merge_grads, sigmoid, writing
 from .spm import Vocabulary
 
 log = logging.getLogger(__name__)
@@ -84,6 +83,8 @@ class ModelConfig:
         for name in ("encoder_hidden", "decoder_hidden", "predictor_hidden"):
             if any(size < 1 for size in getattr(self, name)):
                 raise ValueError(f"{name} sizes must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.magnifier) and self.magnifier > 0):
+            raise ValueError(f"magnifier must be a finite number > 0, got {self.magnifier}")
 
     def np_dtype(self):
         return np.dtype(self.dtype)
@@ -106,6 +107,11 @@ class TrainingConfig:
             raise ValueError("batch_size must be >= 2 (batch normalization)")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        for name in ("pretrain_epochs", "patience"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if any(r <= 0 for r in self.split_ratio) or abs(sum(self.split_ratio) - 1.0) > 1e-9:
             raise ValueError("split ratios must be positive and sum to 1")
         if self.split_mode != "ratio":
@@ -208,7 +214,6 @@ def _project(z: np.ndarray, B: np.ndarray, M: np.ndarray, factor: np.ndarray) ->
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)  # keeps the memory layout, so products round alike
     a.setflags(write=False)
     return a
 
@@ -217,37 +222,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Scorer:
     """What predicting and explaining read of an encoder, frozen.
 
-    Holds read-only copies of the encoder arrays it was built from, lambda1,
-    the dictionary basis B and M = B B^T + lambda1 I with its Cholesky
-    factor, so projecting a batch is one d x d solve instead of an encoder
-    pass over the k x k identity.  Get one from `CasterModel.scorer()`,
-    which rebuilds it whenever the encoder or lambda1 has changed.
+    Holds the key it was built for, (encoder generation, lambda1), the
+    dictionary basis B and M = B B^T + lambda1 I with its Cholesky factor,
+    all read-only, so projecting a batch is one d x d solve instead of an
+    encoder pass over the k x k identity.  Get one from
+    `CasterModel.scorer()`, which rebuilds it whenever the key has changed.
     """
 
-    encoder_arrays: MappingProxyType
-    lambda1: float
+    key: tuple[int, float]
     B: np.ndarray
     M: np.ndarray
     factor: np.ndarray
 
     @classmethod
-    def build(cls, encoder_arrays: dict[str, np.ndarray], lambda1: float, B: np.ndarray) -> "Scorer":
-        M = _gram(B, lambda1)
-        arrays = MappingProxyType({name: _frozen(a) for name, a in encoder_arrays.items()})
-        return cls(arrays, lambda1, _frozen(B), _frozen(M), _frozen(cho_factor(M)))
-
-    def matches(self, encoder_arrays: dict[str, np.ndarray], lambda1: float) -> bool:
-        """True when `lambda1` and the arrays' names, shapes, dtypes and
-        values all equal those this scorer was built from."""
-        ours = self.encoder_arrays
-        return (
-            lambda1 == self.lambda1
-            and encoder_arrays.keys() == ours.keys()
-            and all(
-                a.dtype == ours[name].dtype and np.array_equal(a, ours[name])
-                for name, a in encoder_arrays.items()
-            )
-        )
+    def build(cls, key: tuple[int, float], B: np.ndarray) -> "Scorer":
+        M = _gram(B, key[1])
+        return cls(key, _frozen(B), _frozen(M), _frozen(cho_factor(M)))
 
     def project(self, z: np.ndarray) -> np.ndarray:
         """Ridge coefficients of latent vectors, (d,) or (n, d), in the basis B:
@@ -297,19 +287,16 @@ class CasterModel:
         if _state is not None:
             self._adopt(_state)
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {
-            **self.encoder.parameters(),
-            **self.decoder.parameters(),
-            **self.predictor.parameters(),
-        }
+    def _stacks(self) -> tuple[MLP, MLP, MLP]:
+        return self.encoder, self.decoder, self.predictor
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            **self.encoder.state_arrays(),
-            **self.decoder.state_arrays(),
-            **self.predictor.state_arrays(),
-        }
+    def parameters(self) -> Parameters:
+        stacks = self._stacks()
+        return Parameters({n: a for mlp in stacks for n, a in mlp.parameters().items()}, stacks)
+
+    def state_arrays(self) -> Parameters:
+        stacks = self._stacks()
+        return Parameters({n: a for mlp in stacks for n, a in mlp.state_arrays().items()}, stacks)
 
     def _adopt(self, state: dict[str, np.ndarray]) -> None:
         arrays = self.state_arrays()
@@ -324,7 +311,7 @@ class CasterModel:
                     f"array {name!r} is {value.dtype} {value.shape}, "
                     f"model expects {target.dtype} {target.shape}"
                 )
-        for mlp in (self.encoder, self.decoder, self.predictor):
+        for mlp in self._stacks():
             mlp.load_state(state)
 
     def snapshot(self) -> dict[str, np.ndarray]:
@@ -332,8 +319,9 @@ class CasterModel:
 
     def restore(self, snap: dict[str, np.ndarray]) -> None:
         arrays = self.state_arrays()
-        for name, value in snap.items():
-            arrays[name][...] = value
+        with writing(arrays):
+            for name, value in snap.items():
+                arrays[name][...] = value
 
     # -- forward pieces ----------------------------------------------------
 
@@ -366,16 +354,16 @@ class CasterModel:
     def scorer(self) -> Scorer:
         """The frozen scorer of the current encoder and lambda1.
 
-        The last scorer is reused only while lambda1 and every encoder array
-        equal its copies exactly, so an optimizer step, `restore`, a new
-        `weights` or an in-place edit never leaves it stale; otherwise a new
-        one is built through `dictionary_basis`.  The check reads the encoder
-        once (about 1.5 ms at k=1.6k); the scorer keeps one copy of it.
+        The last scorer is reused while the encoder's generation and lambda1
+        are those it was built for; otherwise a new one is built through
+        `dictionary_basis`.  The encoder's arrays are read-only and every
+        write to them (an optimizer step, `restore`, a checkpoint load) goes
+        through `nn.writing`, which moves the generation, so the key cannot
+        miss a change; an in-place edit outside it raises ValueError.
         """
-        arrays = self.encoder.state_arrays()
-        lambda1 = self.weights.lambda1
-        if self._scorer is None or not self._scorer.matches(arrays, lambda1):
-            self._scorer = Scorer.build(arrays, lambda1, self.dictionary_basis())
+        key = (self.encoder.generation, self.weights.lambda1)
+        if self._scorer is None or self._scorer.key != key:
+            self._scorer = Scorer.build(key, self.dictionary_basis())
         return self._scorer
 
     def project(self, z: np.ndarray) -> np.ndarray:

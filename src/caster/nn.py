@@ -6,11 +6,18 @@ passed explicitly so the same layer can be applied to several inputs
 within one step.  Double precision throughout by default.  The
 central-finite-difference gradient checker that verifies these passes
 lives in the tests (`tests/test_nn.py`).
+
+An MLP's trainable arrays are read-only.  They change only inside
+`writing`, which stamps the stack with a new generation, so whatever is
+derived from a stack can be kept until its generation moves.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Mapping
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import expit as sigmoid  # numerically stable logistic
@@ -23,6 +30,42 @@ def relu(x: np.ndarray) -> np.ndarray:
 def glorot_uniform(out_dim: int, in_dim: int, rng: np.random.Generator, dtype) -> np.ndarray:
     limit = math.sqrt(6.0 / (in_dim + out_dim))
     return rng.uniform(-limit, limit, size=(out_dim, in_dim)).astype(dtype)
+
+
+# stamps for MLP.generation, unique across all stacks of the process
+_generations = itertools.count(1)
+
+
+class Parameters(dict):
+    """Named arrays (views, not copies) and the stacks that own them."""
+
+    def __init__(self, arrays: Mapping[str, np.ndarray], owners: tuple):
+        super().__init__(arrays)
+        self.owners = owners
+
+
+@contextmanager
+def writing(arrays: Mapping[str, np.ndarray]):
+    """The one way to write parameter arrays in place.
+
+    Makes `arrays` writable for the block.  On leaving it, each array gets
+    its write flag back, and each owner (`Parameters.owners`; a plain
+    mapping has none) takes a new generation and freezes its trainable
+    arrays again, including arrays it adopted inside the block.
+    """
+    targets = list(arrays.values())
+    flags = [a.flags.writeable for a in targets]
+    for a in targets:
+        a.flags.writeable = True
+    try:
+        yield
+    finally:
+        for a, flag in zip(targets, flags):
+            a.flags.writeable = flag
+        stamp = next(_generations)
+        for owner in getattr(arrays, "owners", ()):
+            owner.generation = stamp
+            owner.freeze()
 
 
 class Identity:
@@ -130,7 +173,10 @@ class BatchNorm1d:
 
 
 class MLP:
-    """Dense stack with ReLU hidden units, optional batch norm, linear output."""
+    """Dense stack with ReLU hidden units, optional batch norm, linear output.
+
+    Its trainable arrays are read-only outside `writing`.
+    """
 
     def __init__(
         self,
@@ -146,8 +192,16 @@ class MLP:
         self.name = name
         self.layers = [Dense(dims[i], dims[i + 1], rng, dtype) for i in range(len(dims) - 1)]
         self.norms = [BatchNorm1d(h, dtype=dtype) for h in hidden] if batchnorm else None
+        self.generation = next(_generations)
+        self.freeze()
 
-    def parameters(self) -> dict[str, np.ndarray]:
+    def freeze(self) -> None:
+        """Make the trainable arrays read-only; running statistics stay
+        writable, because training updates them in place."""
+        for a in self.parameters().values():
+            a.flags.writeable = False
+
+    def parameters(self) -> Parameters:
         """Trainable arrays, keyed by stable names (views, not copies)."""
         params: dict[str, np.ndarray] = {}
         for i, layer in enumerate(self.layers):
@@ -157,9 +211,9 @@ class MLP:
             for i, bn in enumerate(self.norms):
                 params[f"{self.name}.{i}.bn.gamma"] = bn.gamma
                 params[f"{self.name}.{i}.bn.beta"] = bn.beta
-        return params
+        return Parameters(params, (self,))
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
+    def state_arrays(self) -> Parameters:
         """Trainable parameters plus non-trainable running statistics."""
         arrays = self.parameters()
         if self.norms:
@@ -169,13 +223,15 @@ class MLP:
         return arrays
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Take `arrays[name]` for each name `state_arrays` lists, without copying."""
-        for i, layer in enumerate(self.layers):
-            layer.W = arrays[f"{self.name}.{i}.W"]
-            layer.b = arrays[f"{self.name}.{i}.b"]
-        for i, bn in enumerate(self.norms or ()):
-            for attr in ("gamma", "beta", "running_mean", "running_var"):
-                setattr(bn, attr, arrays[f"{self.name}.{i}.bn.{attr}"])
+        """Take `arrays[name]` for each name `state_arrays` lists, without
+        copying, and freeze the trainable ones."""
+        with writing(self.state_arrays()):
+            for i, layer in enumerate(self.layers):
+                layer.W = arrays[f"{self.name}.{i}.W"]
+                layer.b = arrays[f"{self.name}.{i}.b"]
+            for i, bn in enumerate(self.norms or ()):
+                for attr in ("gamma", "beta", "running_mean", "running_var"):
+                    setattr(bn, attr, arrays[f"{self.name}.{i}.bn.{attr}"])
 
     def forward(self, x: np.ndarray, training: bool = False):
         """Returns (output, caches); pass the caches back to `backward`."""
@@ -217,7 +273,8 @@ class MLP:
 
 
 class Adam:
-    """Bias-corrected Adam over a dict of named parameter arrays (updated in place)."""
+    """Bias-corrected Adam over a dict of named parameter arrays, updated in
+    place through `writing`."""
 
     def __init__(
         self,
@@ -237,17 +294,52 @@ class Adam:
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
+        """One update, bit for bit the textbook expressions
+
+            m += (1 - beta1) * (g - m)
+            v += (1 - beta2) * (g * g - v)
+            p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+
+        evaluated in the same order and dtypes, into two scratch buffers
+        shared by all parameters.  The buffers are freed on return: kept
+        between steps, they would add to the memory peak of the next
+        training step.
+        """
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for name, g in grads.items():
-            p = self.params[name]
-            m = self.m[name]
-            v = self.v[name]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        nbytes = max(
+            (g.size * np.result_type(g, self.m[name]).itemsize for name, g in grads.items()), default=0
+        )
+        scratch = (np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8))
+
+        def buffers(shape, dtype):
+            size = math.prod(shape) * dtype.itemsize
+            return (buf[:size].view(dtype).reshape(shape) for buf in scratch)
+
+        with writing(self.params):
+            for name, g in grads.items():
+                p = self.params[name]
+                m = self.m[name]
+                v = self.v[name]
+                # the moments in the dtype of g - m, the update in p's
+                a, _ = buffers(p.shape, np.result_type(g, m))
+                np.subtract(g, m, out=a)
+                np.multiply(1.0 - self.beta1, a, out=a)
+                m += a
+                np.multiply(g, g, out=a)
+                np.subtract(a, v, out=a)
+                np.multiply(1.0 - self.beta2, a, out=a)
+                v += a
+                a, b = buffers(p.shape, p.dtype)
+                np.divide(m, bc1, out=a)
+                np.multiply(self.lr, a, out=a)
+                np.divide(v, bc2, out=b)
+                np.sqrt(b, out=b)
+                np.add(b, self.eps, out=b)
+                np.divide(a, b, out=a)
+                p -= a
 
 
 def merge_grads(*grad_dicts: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -20,14 +20,17 @@ Both hot paths are exact shortcuts of the plain algorithms (details in
 
 * the miner updates pair counts only around each merge site and takes
   the best pair from a lazy max-heap instead of scanning every count;
-* the segmenter jumps from one applicable rule to the next by rank instead
-  of walking every rule, and never goes back to a rank it has passed.
+* the segmenter keeps the sequence as a linked list of symbols and takes
+  the next merge from a min-heap of (rank, position), the symbol-pair
+  agenda of SentencePiece's BPE encoder.  A merge re-ranks only the two
+  pairs next to it, and no pair goes back to a rank the walk has passed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -334,31 +337,52 @@ def segment(tokens: list[str], vocab: Vocabulary) -> list[str]:
     """Apply the vocabulary's merges in rank order to a token sequence.
 
     Equal to walking every rule in rank order, where a rule whose pair is
-    absent changes nothing.  Instead, each step applies the smallest rank,
-    above the last rank applied, among the sequence's adjacent pairs.  The
-    guard "above the last rank applied" matters: a merged token can equal
-    a base token or an earlier product, so one pair can hold several
-    ranks, and a rule's product can recreate a pair whose earlier rank the
-    walk has already passed.
+    absent changes nothing and a rule that applies merges all its sites
+    greedily left to right.  Instead of walking, the sequence is a linked
+    list of symbols with a min-heap of (rank, position) entries, one per
+    adjacent pair that some rank above the last rank applied can still
+    merge:
+
+    * a pair enters the heap at its smallest rank above the last rank
+      applied.  That guard matters: a merged token can equal a base token
+      or an earlier product, so one pair can hold several ranks, and a
+      rule's product can recreate a pair whose earlier rank the walk has
+      already passed;
+    * entries pop in (rank, position) order, so all sites of one rank are
+      applied left to right before any higher rank, as the walk does;
+    * a merge re-ranks only the two pairs next to the merged token.  An
+      entry whose pair has since changed is stale and skipped: tokens only
+      grow, so a pair is unchanged exactly when both its tokens still
+      spell the rule.
 
     Unknown tokens pass through unchanged; the output always concatenates
     back to the input string.
     """
     ranks = vocab.merge_ranks()
-    seq = list(tokens)
-    last = -1
-    end = len(vocab.merges)
-    while True:
-        best = end
-        for pair_ranks in map(ranks.get, zip(seq, seq[1:])):
-            if pair_ranks:
-                for r in pair_ranks:
-                    if r > last:
-                        if r < best:
-                            best = r
-                        break
-        if best == end:
-            return seq
-        rule = vocab.merges[best]
-        seq, _ = _replace_pair(seq, rule.left, rule.right, rule.merged)
-        last = best
+    merges = vocab.merges
+    seq: list[str | None] = list(tokens)
+    n = len(seq)
+    nxt = list(range(1, n + 1))  # n: no next symbol
+    prv = list(range(-1, n - 1))  # -1: no previous symbol
+    heap = [(r[0], i) for i, r in enumerate(map(ranks.get, zip(seq, seq[1:]))) if r]
+    heapq.heapify(heap)
+    while heap:
+        rank, i = heapq.heappop(heap)
+        rule = merges[rank]
+        j = nxt[i]
+        if seq[i] != rule.left or j == n or seq[j] != rule.right:
+            continue  # stale: a merge has changed this pair since it was pushed
+        seq[i] = rule.merged
+        seq[j] = None  # merged into i
+        k = nxt[i] = nxt[j]
+        if k < n:
+            prv[k] = i
+            pair_ranks = ranks.get((rule.merged, seq[k]))
+            if pair_ranks and pair_ranks[-1] > rank:
+                heapq.heappush(heap, (pair_ranks[bisect_right(pair_ranks, rank)], i))
+        h = prv[i]
+        if h >= 0:
+            pair_ranks = ranks.get((seq[h], rule.merged))
+            if pair_ranks and pair_ranks[-1] > rank:
+                heapq.heappush(heap, (pair_ranks[bisect_right(pair_ranks, rank)], h))
+    return [tok for tok in seq if tok is not None]

@@ -26,6 +26,7 @@ from caster.model import (
     save_checkpoint,
     train_arrays,
 )
+from caster.nn import writing
 from caster.spm import Vocabulary, mine_vocabulary, segment
 from caster.synthetic import DEFAULT_MOTIF, planted_motif_dataset, unlabelled_pair_corpus
 
@@ -87,8 +88,10 @@ def test_criterion_2_gradient_check():
     y = rng.integers(0, 2, 6).astype(np.float64)
     for _ in range(3):  # settle batch-norm running statistics
         model.step(X, y, training=True)
-    for arr in model.parameters().values():  # generic point, off ReLU kinks
-        arr += 0.02 * rng.normal(size=arr.shape)
+    params = model.parameters()
+    with writing(params):
+        for arr in params.values():  # generic point, off ReLU kinks
+            arr += 0.02 * rng.normal(size=arr.shape)
 
     def loss_fn():
         loss, _, grads = model.step(X, y, training=False)  # batch norm frozen

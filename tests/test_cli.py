@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from caster.cli import main
+from caster.model import CasterModel
 from caster.corpus import PairCorpus, PairExample, atom_tokenize, write_pair_corpus
 from caster.spm import Vocabulary, mine_vocabulary
 from caster.synthetic import planted_motif_dataset, unlabelled_pair_corpus
@@ -352,3 +353,81 @@ class TestSettingsValidation:
         conf.write_bytes(b"max_epochs=2\n# comment\nlatent_dim=6\xff\n")
         assert self._train(workspace, tmp_path, "--config", str(conf)) == 2
         assert f"{conf}: line 3: invalid UTF-8 byte 0xff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, key", [("lr=abc", "lr"), ("encoder_hidden=24,x", "encoder_hidden")])
+    def test_config_file_value_that_does_not_cast_names_key_and_file(self, workspace, tmp_path, capsys, line, key):
+        root, _ = workspace
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        # no SMALL_NET: its flags would win over the file
+        assert main(["train", "--vocab", str(root / "vocab.txt"), "--labelled", str(root / "labelled.tsv"),
+                     "--out-dir", str(tmp_path / "out"), "--config", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert f"{conf}: bad value {line.split('=')[1]!r} for {key}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--max-epochs", "0"), "max_epochs must be >= 1, got 0"),
+        (("--pretrain-epochs", "-1"), "pretrain_epochs must be >= 0, got -1"),
+        (("--patience", "-1"), "patience must be >= 0, got -1"),
+        (("--magnifier", "0"), "magnifier must be a finite number > 0, got 0.0"),
+        (("--magnifier", "-2"), "magnifier must be a finite number > 0, got -2.0"),
+        (("--magnifier", "nan"), "magnifier must be a finite number > 0, got nan"),
+    ])
+    def test_meaningless_run_exits_2_before_any_step(self, workspace, tmp_path, capsys, monkeypatch, flags, message):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(CasterModel, "step", no_step)
+        assert self._train(workspace, tmp_path, *flags) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestInitCheckpoint:
+    """`caster train --init-checkpoint` trains the checkpoint's architecture,
+    records it, and refuses settings that disagree with it."""
+
+    def _train(self, trained, tmp_path, *extra):
+        root, out = trained
+        return main(["train", "--vocab", str(root / "vocab.txt"),
+                     "--labelled", str(root / "labelled.tsv"),
+                     "--init-checkpoint", str(out / "stage1" / "pretrained.ckpt"),
+                     "--out-dir", str(tmp_path / "out"), "--batch-size", "32",
+                     "--max-epochs", "1", *extra])
+
+    def test_config_used_records_the_checkpoint_architecture(self, trained, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("lr=0.002\n")
+        assert self._train(trained, tmp_path, "--config", str(conf)) == 0
+        used = dict(line.split("=", 1) for line in (tmp_path / "out" / "config_used.txt").read_text().splitlines())
+        assert {key: used[key] for key in ("latent_dim", "encoder_hidden", "decoder_hidden",
+                                           "predictor_hidden", "magnifier", "dtype")} == {
+            "latent_dim": "6", "encoder_hidden": "24,24", "decoder_hidden": "24,24",
+            "predictor_hidden": "32,16", "magnifier": "100.0", "dtype": "float64",
+        }
+        assert used["lr"] == "0.002"
+
+    def test_matching_architecture_settings_are_accepted(self, trained, tmp_path):
+        assert self._train(trained, tmp_path, "--latent-dim", "6", "--encoder-hidden", "24,24",
+                           "--dtype", "float64", "--magnifier", "100") == 0
+
+    @pytest.mark.parametrize("flags, key", [
+        (("--latent-dim", "3"), "latent_dim"),
+        (("--predictor-hidden", "32"), "predictor_hidden"),
+        (("--magnifier", "50"), "magnifier"),
+        (("--dtype", "float32"), "dtype"),
+    ])
+    def test_disagreeing_flag_exits_2(self, trained, tmp_path, capsys, flags, key):
+        assert self._train(trained, tmp_path, *flags) == 2
+        err = capsys.readouterr().err
+        assert f"--{key.replace('_', '-')}: {key}={flags[1]}" in err and "disagrees with the checkpoint" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_disagreeing_config_file_exits_2(self, trained, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("dtype=foo\nlatent_dim=3\n")
+        assert self._train(trained, tmp_path, "--config", str(conf)) == 2
+        err = capsys.readouterr().err
+        assert f"{conf}: latent_dim=3 disagrees with the checkpoint" in err
+        assert not (tmp_path / "out").exists()

@@ -30,7 +30,7 @@ from caster.model import (
     train,
     train_arrays,
 )
-from caster.nn import Adam
+from caster.nn import Adam, writing
 from caster.spm import MergeRule, Vocabulary
 
 from test_nn import gradient_check
@@ -331,8 +331,9 @@ class TestIdentityFreeBasis:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_basis_equals_identity_pass(self, rng, dtype):
         m = tiny_model(k=300, d=8, encoder_hidden=(64, 32), dtype=dtype, seed=1)
-        for layer in m.encoder.layers:
-            layer.b[...] = rng.normal(size=layer.b.shape)
+        with writing(m.encoder.parameters()):
+            for layer in m.encoder.layers:
+                layer.b[...] = rng.normal(size=layer.b.shape)
         oracle = m.encoder.forward(np.eye(m.k, dtype=dtype))[0].T
         np.testing.assert_array_equal(m.dictionary_basis(), oracle)
 
@@ -355,7 +356,8 @@ class TestModelPieces:
     def test_single_layer_encoder_columns(self, rng):
         m = tiny_model(k=6, d=3, encoder_hidden=())
         W = m.encoder.layers[0].W
-        m.encoder.layers[0].b[...] = 0.0
+        with writing(m.encoder.parameters()):
+            m.encoder.layers[0].b[...] = 0.0
         B = m.dictionary_basis()
         np.testing.assert_allclose(B, W)
         e1 = np.zeros(6)
@@ -364,13 +366,15 @@ class TestModelPieces:
 
     def test_zero_input_gives_bias(self, rng):
         m = tiny_model(k=6, d=3, encoder_hidden=())
-        m.encoder.layers[0].b[...] = rng.normal(size=3)
+        with writing(m.encoder.parameters()):
+            m.encoder.layers[0].b[...] = rng.normal(size=3)
         np.testing.assert_allclose(m.encode(np.zeros(6)), m.encoder.layers[0].b)
 
     def test_zero_weight_encoder_basis(self):
         m = tiny_model(k=6, d=3, encoder_hidden=())
-        m.encoder.layers[0].W[...] = 0.0
-        m.encoder.layers[0].b[...] = [1.0, 2.0, 3.0]
+        with writing(m.encoder.parameters()):
+            m.encoder.layers[0].W[...] = 0.0
+            m.encoder.layers[0].b[...] = [1.0, 2.0, 3.0]
         B = m.dictionary_basis()
         for i in range(6):
             np.testing.assert_allclose(B[:, i], [1.0, 2.0, 3.0])
@@ -411,19 +415,22 @@ class TestModelPieces:
 
     def test_decode_range_and_midpoint(self, rng):
         m = tiny_model()
-        for layer in m.decoder.layers:
-            layer.W[...] = 0.0
-            layer.b[...] = 0.0
+        with writing(m.decoder.parameters()):
+            for layer in m.decoder.layers:
+                layer.W[...] = 0.0
+                layer.b[...] = 0.0
         np.testing.assert_allclose(m.decode(rng.normal(size=3)), 0.5)
-        m.decoder.layers[-1].b[...] = 40.0
+        with writing(m.decoder.parameters()):
+            m.decoder.layers[-1].b[...] = 40.0
         out = m.decode(rng.normal(size=3))
         assert np.all(out >= 1 - 1e-12) and np.all(out < 1)
 
     def test_zero_predictor_gives_half(self, rng):
         m = tiny_model()
-        for layer in m.predictor.layers:
-            layer.W[...] = 0.0
-            layer.b[...] = 0.0
+        with writing(m.predictor.parameters()):
+            for layer in m.predictor.layers:
+                layer.W[...] = 0.0
+                layer.b[...] = 0.0
         assert m.predict_probability(rng.normal(size=10)) == pytest.approx(0.5)
 
     def test_magnifier_first_layer_scaling_invariance(self, rng):
@@ -433,7 +440,8 @@ class TestModelPieces:
         r = rng.normal(size=(4, 10))
         pre_a = (m.config.magnifier * r) @ m.predictor.layers[0].W.T
         m2 = tiny_model(seed=3, magnifier=2 * m.config.magnifier)
-        m2.predictor.layers[0].W[...] = 0.5 * m.predictor.layers[0].W
+        with writing(m2.predictor.parameters()):
+            m2.predictor.layers[0].W[...] = 0.5 * m.predictor.layers[0].W
         pre_b = (m2.config.magnifier * r) @ m2.predictor.layers[0].W.T
         np.testing.assert_allclose(pre_a, pre_b, rtol=1e-12)
 
@@ -458,8 +466,10 @@ class TestStepGradient:
         for _ in range(2):
             m.step(X, y, training=True)
         # nudge every parameter off exact zeros so no ReLU sits on its kink
-        for arr in m.parameters().values():
-            arr += 0.02 * rng.normal(size=arr.shape)
+        params = m.parameters()
+        with writing(params):
+            for arr in params.values():
+                arr += 0.02 * rng.normal(size=arr.shape)
 
         def loss_fn():
             loss, _, grads = m.step(X, y, training=False)
@@ -804,11 +814,9 @@ class TestScorer:
     def test_scorer_is_read_only(self):
         m, _, _, _ = _scorer_case("toy", "float64")
         s = m.scorer()
-        for arr in (s.B, s.M, s.factor, *s.encoder_arrays.values()):
+        for arr in (s.B, s.M, s.factor):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
-        # copies, not views of the live encoder
-        assert not any(np.shares_memory(a, s.encoder_arrays[n]) for n, a in m.encoder.state_arrays().items())
 
     def _changed(self, change, dtype):
         """Score once, apply `change` to the model, and check that the output
@@ -837,11 +845,15 @@ class TestScorer:
         self._changed(restore, dtype)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_after_one_entry_written_in_place(self, dtype):
-        def write(m, X):
-            m.encoder.layers[0].W[5, int(np.flatnonzero(X[0])[0])] += 0.25
-
-        self._changed(write, dtype)
+    def test_outside_write_is_refused(self, dtype):
+        m, vocab, pairs, X = _scorer_case("k300", dtype)
+        before = assert_matches_oracle(m, vocab, pairs, X)
+        W = m.encoder.layers[0].W
+        with pytest.raises(ValueError, match="read-only"):
+            W[5, int(np.flatnonzero(X[0])[0])] += 0.25
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(W, 1.0, out=W)
+        np.testing.assert_array_equal(assert_matches_oracle(m, vocab, pairs, X), before)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_after_lambda1_change(self, dtype):
@@ -860,6 +872,110 @@ class TestScorer:
             return loaded
 
         self._changed(reload, dtype)
+
+
+class TestWriteStamp:
+    """Every sanctioned write moves the encoder's generation, and the
+    scoring calls after it build exactly one new scorer."""
+
+    @staticmethod
+    def _scorer_builds(monkeypatch):
+        build = caster.model.Scorer.build.__func__
+        keys = []
+
+        def counted(cls, key, B):
+            keys.append(key)
+            return build(cls, key, B)
+
+        monkeypatch.setattr(caster.model.Scorer, "build", classmethod(counted))
+        return keys
+
+    def _one_rebuild(self, monkeypatch, change, writes=True):
+        m, vocab, pairs, X = _scorer_case("toy", "float64")
+        m.predict_pairs(X)
+        generation = m.encoder.generation
+        builds = self._scorer_builds(monkeypatch)
+        m = change(m, X) or m
+        assert (m.encoder.generation > generation) if writes else (m.encoder.generation == generation)
+        for _ in range(2):
+            assert_matches_oracle(m, vocab, pairs, X)
+            m.project(m.encode(X))
+        assert builds == [(m.encoder.generation, m.weights.lambda1)]
+
+    def test_adam_step(self, monkeypatch):
+        def adam_step(m, X):
+            _, _, grads = m.step(X, np.arange(len(X)) % 2.0)
+            Adam(m.parameters(), lr=1e-2).step(grads)
+
+        self._one_rebuild(monkeypatch, adam_step)
+
+    def test_restore(self, monkeypatch):
+        def restore(m, X):
+            m.restore(tiny_model(k=10, d=3, seed=7).snapshot())
+
+        self._one_rebuild(monkeypatch, restore)
+
+    def test_load_checkpoint(self, monkeypatch, tmp_path):
+        def reload(m, X):
+            save_checkpoint(tmp_path / "model.ckpt", m)
+            return load_checkpoint(tmp_path / "model.ckpt")
+
+        self._one_rebuild(monkeypatch, reload)
+
+    def test_lambda1_change(self, monkeypatch):
+        def new_weights(m, X):
+            m.weights = LossWeights(lambda1=0.5)
+
+        self._one_rebuild(monkeypatch, new_weights, writes=False)
+
+    def test_loaded_parameters_are_read_only(self, tmp_path):
+        m = tiny_model(seed=5)
+        save_checkpoint(tmp_path / "model.ckpt", m)
+        loaded = load_checkpoint(tmp_path / "model.ckpt")
+        params = loaded.parameters()
+        assert any(name.startswith("encoder.") for name in params)
+        for name, arr in loaded.state_arrays().items():
+            # batch-norm running statistics stay writable: training updates them
+            assert arr.flags.writeable == (name not in params), name
+
+    def test_writing_restores_the_flags_of_a_plain_mapping(self):
+        m = tiny_model()
+        W = m.encoder.layers[0].W
+        free = np.zeros(3)
+        with writing({"W": W, "free": free}):
+            W[0, 0] = 1.0
+            free[0] = 1.0
+        assert not W.flags.writeable and free.flags.writeable
+
+
+class TestAdamInPlace:
+    """Adam's buffered update against the textbook expressions it replaces."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_bit_identical_to_the_plain_formula(self, rng, dtype):
+        m = tiny_model(k=12, d=4, seed=3, dtype=dtype)
+        X = (rng.random((8, 12)) < 0.4).astype(float)
+        y = np.arange(8) % 2.0
+        adam = Adam(m.parameters(), lr=1e-2)
+        ref = {name: a.copy() for name, a in m.parameters().items()}
+        ref_m = {name: np.zeros_like(a) for name, a in ref.items()}
+        ref_v = {name: np.zeros_like(a) for name, a in ref.items()}
+        b1, b2, lr, eps = adam.beta1, adam.beta2, adam.lr, adam.eps
+        for t in range(1, 4):
+            _, _, grads = m.step(X, y)
+            adam.step(grads)
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for name, g in grads.items():
+                p, mo, v = ref[name], ref_m[name], ref_v[name]
+                mo += (1.0 - b1) * (g - mo)
+                v += (1.0 - b2) * (g * g - v)
+                p -= lr * (mo / bc1) / (np.sqrt(v / bc2) + eps)
+            params = m.parameters()
+            for name in ref:
+                assert params[name].dtype == np.dtype(dtype), name
+                np.testing.assert_array_equal(params[name], ref[name], err_msg=name)
+                np.testing.assert_array_equal(adam.m[name], ref_m[name], err_msg=name)
+                np.testing.assert_array_equal(adam.v[name], ref_v[name], err_msg=name)
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from caster.nn import MLP, Adam, BatchNorm1d, Dense, Identity, relu, sigmoid
+from caster.nn import MLP, Adam, BatchNorm1d, Dense, Identity, relu, sigmoid, writing
 
 
 @pytest.fixture
@@ -55,10 +55,17 @@ def gradient_check(
     """Compare analytic gradients against central finite differences.
 
     `loss_fn` takes no arguments, reads the (mutated) `params` arrays and
-    returns (loss, grads) with grads keyed like `params`.  The relative
-    error uses a small floor in the denominator so finite-difference noise
-    on near-zero gradients does not register as failure.
+    returns (loss, grads) with grads keyed like `params`.  Each entry is
+    set through `writing`, so read-only parameters can be checked too.
+    The relative error uses a small floor in the denominator so
+    finite-difference noise on near-zero gradients does not register as
+    failure.
     """
+
+    def put(p, idx, value):
+        with writing(params):
+            p[idx] = value
+
     loss, analytic = loss_fn()
     if not np.isfinite(loss):
         raise ValueError(f"loss is not finite: {loss}")
@@ -79,11 +86,11 @@ def gradient_check(
         param_max = 0.0
         for idx in indices:
             orig = p[idx]
-            p[idx] = orig + step
+            put(p, idx, orig + step)
             loss_plus, _ = loss_fn()
-            p[idx] = orig - step
+            put(p, idx, orig - step)
             loss_minus, _ = loss_fn()
-            p[idx] = orig
+            put(p, idx, orig)
             numeric = (loss_plus - loss_minus) / (2.0 * step)
             rel = abs(a[idx] - numeric) / max(abs(a[idx]), abs(numeric), 1e-4)
             param_max = max(param_max, rel)

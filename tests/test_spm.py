@@ -60,6 +60,14 @@ def reference_segment(tokens, vocab):
 # so one pair can be merged at several ranks.
 COLLIDING = ("A", "B", "AB", "C", "BC")
 
+# Rules over COLLIDING: A+B and B+C spell base tokens, (AB, C) and (A, BC)
+# can follow the rule that rebuilds their pair, and (A, A), (AA, A) overlap
+# themselves.
+COLLIDING_RULES = (
+    ("A", "B"), ("B", "C"), ("AB", "C"), ("A", "BC"), ("AB", "BC"), ("C", "AB"),
+    ("A", "A"), ("AA", "A"), ("B", "B"),
+)
+
 # A few distinct strings, each drawn several times, so that one merge
 # rewrites several strings and their count deltas add up.
 colliding_corpora = st.lists(
@@ -241,6 +249,21 @@ class TestSegment:
             assert segment(tokens, vocab) == reference_segment(tokens, vocab) == mined
         for tokens in probes + [list(rule.merged) for rule in vocab.merges]:
             assert segment(tokens, vocab) == reference_segment(tokens, vocab)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(COLLIDING_RULES), min_size=1, max_size=10),
+        st.lists(st.lists(st.sampled_from(COLLIDING), min_size=2, max_size=40), min_size=1, max_size=5),
+    )
+    def test_heap_matches_rule_walk_where_products_collide(self, merge_pairs, probes):
+        # the heap's stale-entry check and its "above the last rank" guard
+        # against the walk, on rules whose products are base tokens or
+        # rebuild pairs the walk has passed, with pairs repeated across ranks
+        rules = [MergeRule(l, r, l + r, i, 1) for i, (l, r) in enumerate(merge_pairs)]
+        vocab = Vocabulary(frozenset(COLLIDING), rules, [("A", 1)], 1, 100)
+        for tokens in probes:
+            for seq in (tokens, list("".join(tokens))):
+                assert segment(seq, vocab) == reference_segment(seq, vocab)
 
     @given(
         st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=25),
