@@ -1,7 +1,8 @@
 """Command-line interface: mine, pretrain, train, predict, explain.
 
 Flag values take precedence over a ``--config`` key=value file, which in
-turn overrides built-in defaults.  Every command is deterministic given
+turn overrides built-in defaults; the file may set only the keys of
+``DEFAULTS`` and ``seed``.  Every command is deterministic given
 ``--seed`` (env var CASTER_SEED is the fallback); the effective
 configuration is echoed into the output directory for provenance.
 
@@ -67,7 +68,6 @@ DEFAULTS = {
     "split": "7:1:2",
     "split_mode": "ratio",
     "fold_index": 0,
-    "dtype": "float64",
 }
 
 
@@ -101,7 +101,11 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"{path}: line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in DEFAULTS and key != "seed":
+            known = ", ".join(sorted([*DEFAULTS, "seed"]))
+            raise UsageError(f"{path}: line {lineno}: unknown key {key!r}; the keys are {known}")
+        values[key] = value.strip()
     return values
 
 
@@ -165,10 +169,7 @@ def _parse_split(text: str) -> tuple[float, float, float]:
     return tuple(v / total for v in nums)
 
 
-_MODEL_KEYS = (
-    "latent_dim", "encoder_hidden", "decoder_hidden", "predictor_hidden",
-    "magnifier", "dtype",
-)
+_MODEL_KEYS = ("latent_dim", "encoder_hidden", "decoder_hidden", "predictor_hidden", "magnifier")
 _WEIGHT_KEYS = ("alpha", "beta", "gamma", "lambda1", "lambda2")
 _TRAIN_KEYS = (
     "batch_size", "lr", "pretrain_epochs", "max_epochs", "patience",
@@ -357,7 +358,6 @@ def _add_hyper(p: argparse.ArgumentParser) -> None:
     p.add_argument("--split", help="train:val:test ratio, e.g. 7:1:2")
     p.add_argument("--split-mode", dest="split_mode", help="'ratio' or 'folds:<n>'")
     p.add_argument("--fold-index", type=int, dest="fold_index")
-    p.add_argument("--dtype", choices=("float64", "float32"))
 
 
 def build_parser() -> argparse.ArgumentParser:

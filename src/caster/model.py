@@ -75,19 +75,13 @@ class ModelConfig:
     decoder_hidden: tuple[int, ...] = (500, 500)
     predictor_hidden: tuple[int, ...] = (1024, 1024, 1024, 256, 64)
     magnifier: float = 100.0
-    dtype: str = "float64"
 
     def __post_init__(self):
-        if self.dtype not in ("float64", "float32"):
-            raise ValueError(f"dtype must be 'float64' or 'float32', got {self.dtype!r}")
         for name in ("encoder_hidden", "decoder_hidden", "predictor_hidden"):
             if any(size < 1 for size in getattr(self, name)):
                 raise ValueError(f"{name} sizes must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.magnifier) and self.magnifier > 0):
             raise ValueError(f"magnifier must be a finite number > 0, got {self.magnifier}")
-
-    def np_dtype(self):
-        return np.dtype(self.dtype)
 
 
 @dataclass(frozen=True)
@@ -161,31 +155,27 @@ def cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _gram(B: np.ndarray, lambda1: float) -> np.ndarray:
-    """M = B B^T + lambda1 I, formed in float64 whatever B's dtype (in
-    float32, rounding in B B^T can exceed a small lambda1)."""
-    B64 = B.astype(np.float64, copy=False)
-    return B64 @ B64.T + lambda1 * np.eye(B.shape[0])
+    """M = B B^T + lambda1 I."""
+    return B @ B.T + lambda1 * np.eye(B.shape[0])
 
 
-def _refined_solve(M: np.ndarray, factor: np.ndarray, Z: np.ndarray, dtype) -> np.ndarray:
-    """M^{-1} Z^T from M's factor, sharpened by one residual-correction
-    pass and returned in `dtype`."""
+def _refined_solve(M: np.ndarray, factor: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """M^{-1} Z^T from M's factor, sharpened by one residual-correction pass."""
     W = cho_solve(factor, Z.T)
     W += cho_solve(factor, Z.T - M @ W)
-    return W.astype(dtype, copy=False)
+    return W
 
 
 def _dual_solve(Z: np.ndarray, B: np.ndarray, lambda1: float):
     """W = (B B^T + lambda1 I)^{-1} Z^T for a batch Z (n, d), and the factor.
 
-    The d x d system is formed, factored and solved in float64.  Returns W
-    (d, n) in B's dtype and the Cholesky factor, for the solves of the
+    Returns W (d, n) and the Cholesky factor, for the solves of the
     backward pass.  Every call runs on numpy's BLAS and LAPACK (see "One
     BLAS" in the README).
     """
     M = _gram(B, lambda1)
     factor = cho_factor(M)
-    return _refined_solve(M, factor, Z, B.dtype), factor
+    return _refined_solve(M, factor, Z), factor
 
 
 def ridge_coefficients(z: np.ndarray, B: np.ndarray, lambda1: float) -> np.ndarray:
@@ -209,7 +199,7 @@ def _project(z: np.ndarray, B: np.ndarray, M: np.ndarray, factor: np.ndarray) ->
     d = B.shape[0]
     if Z.shape[1] != d:
         raise ValueError(f"z has dimension {Z.shape[1]}, basis has d={d}")
-    R = _refined_solve(M, factor, Z, B.dtype).T @ B
+    R = _refined_solve(M, factor, Z).T @ B
     return R[0] if single else R
 
 
@@ -273,16 +263,13 @@ class CasterModel:
         d = self.config.latent_dim
         if not 0 < d < k:
             raise ValueError(f"latent_dim must satisfy 0 < d < k, got d={d}, k={k}")
-        dtype = self.config.np_dtype()
         rng = np.random.default_rng(seed) if _state is None else None
-        self.encoder = MLP(k, self.config.encoder_hidden, d, rng, name="encoder", dtype=dtype)
-        self.decoder = MLP(d, self.config.decoder_hidden, k, rng, name="decoder", dtype=dtype)
-        self.predictor = MLP(
-            k, self.config.predictor_hidden, 1, rng, batchnorm=True, name="predictor", dtype=dtype
-        )
+        self.encoder = MLP(k, self.config.encoder_hidden, d, rng, name="encoder")
+        self.decoder = MLP(d, self.config.decoder_hidden, k, rng, name="decoder")
+        self.predictor = MLP(k, self.config.predictor_hidden, 1, rng, batchnorm=True, name="predictor")
         # the dictionary basis is the encoding of this identity; perfbench's
         # tracer tells basis passes from data passes by this object
-        self._eye = Identity(k, dtype)
+        self._eye = Identity(k)
         self._scorer: Scorer | None = None
         if _state is not None:
             self._adopt(_state)
@@ -325,17 +312,14 @@ class CasterModel:
 
     # -- forward pieces ----------------------------------------------------
 
-    def _as_batch(self, x: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(np.asarray(x, dtype=self.config.np_dtype()))
-
     def encode(self, x: np.ndarray) -> np.ndarray:
         single = x.ndim == 1
-        z, _ = self.encoder.forward(self._as_batch(x))
+        z, _ = self.encoder.forward(np.atleast_2d(x))
         return z[0] if single else z
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         single = z.ndim == 1
-        logits, _ = self.decoder.forward(self._as_batch(z))
+        logits, _ = self.decoder.forward(np.atleast_2d(z))
         # keep outputs strictly inside (0, 1) even at float saturation
         xhat = np.clip(sigmoid(logits), _CLAMP, 1.0 - _CLAMP)
         return xhat[0] if single else xhat
@@ -373,7 +357,7 @@ class CasterModel:
     def predict_probability(self, r: np.ndarray) -> np.ndarray:
         """sigmoid(predictor(magnified coefficients)), inference-mode batch norm."""
         single = r.ndim == 1
-        logits, _ = self.predictor.forward(self.config.magnifier * self._as_batch(r), training=False)
+        logits, _ = self.predictor.forward(self.config.magnifier * np.atleast_2d(r), training=False)
         p = sigmoid(logits[:, 0])
         return float(p[0]) if single else p
 
@@ -404,7 +388,6 @@ class CasterModel:
         n = X.shape[0]
         lam1 = w.lambda1
 
-        X = np.asarray(X, dtype=self.config.np_dtype())
         Z, cache_x = self.encoder.forward(X, training)
         Brows, cache_u = self.encoder.forward(self._eye, training)
         B = Brows.T
@@ -679,8 +662,8 @@ def save_checkpoint(path, model: CasterModel) -> None:
     """Write the state arrays and a JSON header as one .npz file at `path`.
 
     The header, stored as a uint8 array, holds the magic and version, the
-    dimensions, layer sizes, loss weights, magnifier, dtype and vocabulary
-    hash.  Arrays keep their dtype, so the round-trip is exact.
+    dimensions, layer sizes, loss weights, magnifier and vocabulary hash.
+    The arrays are stored in binary, so the round-trip is exact.
     """
     cfg = model.config
     header = {
@@ -693,7 +676,6 @@ def save_checkpoint(path, model: CasterModel) -> None:
         "predictor_hidden": cfg.predictor_hidden,
         **asdict(model.weights),
         "magnifier": cfg.magnifier,
-        "dtype": cfg.dtype,
         "vocab_hash": model.vocab_hash,
     }
     blob = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
@@ -746,7 +728,6 @@ def load_checkpoint(path, vocab: Vocabulary | None = None, expected_vocab_hash: 
             decoder_hidden=tuple(int(n) for n in header["decoder_hidden"]),
             predictor_hidden=tuple(int(n) for n in header["predictor_hidden"]),
             magnifier=float(header["magnifier"]),
-            dtype=str(header["dtype"]),
         )
         weights = LossWeights(**{f.name: float(header[f.name]) for f in fields(LossWeights)})
         stored_hash = str(header["vocab_hash"])

@@ -3,7 +3,7 @@
 Hand-written forward/backward passes for affine layers, ReLU, sigmoid and
 1-D batch normalization, plus a bias-corrected Adam optimizer.  Caches are
 passed explicitly so the same layer can be applied to several inputs
-within one step.  Double precision throughout by default.  The
+within one step.  Double precision throughout.  The
 central-finite-difference gradient checker that verifies these passes
 lives in the tests (`tests/test_nn.py`).
 
@@ -27,9 +27,9 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def glorot_uniform(out_dim: int, in_dim: int, rng: np.random.Generator, dtype) -> np.ndarray:
+def glorot_uniform(out_dim: int, in_dim: int, rng: np.random.Generator) -> np.ndarray:
     limit = math.sqrt(6.0 / (in_dim + out_dim))
-    return rng.uniform(-limit, limit, size=(out_dim, in_dim)).astype(dtype)
+    return rng.uniform(-limit, limit, size=(out_dim, in_dim))
 
 
 # stamps for MLP.generation, unique across all stacks of the process
@@ -76,28 +76,24 @@ class Identity:
     """
 
     ndim = 2
+    # bytes per element of the matrix it stands for, as on an ndarray
+    itemsize = np.dtype(np.float64).itemsize
 
-    def __init__(self, n: int, dtype=np.float64):
+    def __init__(self, n: int):
         self.shape = (n, n)
-        self.dtype = np.dtype(dtype)
-
-    @property
-    def itemsize(self) -> int:
-        """Bytes per element of the matrix it stands for, as on an ndarray."""
-        return self.dtype.itemsize
 
 
 class Dense:
     """Affine map y = x W^T + b for row-major batches."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None, dtype=np.float64):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None):
         """Glorot-uniform weights drawn from `rng`; with rng None, W is left
         uninitialised for a caller that assigns it."""
         if rng is None:
-            self.W = np.empty((out_dim, in_dim), dtype=dtype)
+            self.W = np.empty((out_dim, in_dim))
         else:
-            self.W = glorot_uniform(out_dim, in_dim, rng, dtype)
-        self.b = np.zeros(out_dim, dtype=dtype)
+            self.W = glorot_uniform(out_dim, in_dim, rng)
+        self.b = np.zeros(out_dim)
 
     @property
     def in_dim(self) -> int:
@@ -129,17 +125,14 @@ class Dense:
 class BatchNorm1d:
     """Per-feature normalization with running statistics for inference."""
 
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5, dtype=np.float64):
-        if not 0.0 < momentum < 1.0:
-            raise ValueError("momentum must be in (0, 1)")
-        if eps <= 0.0:
-            raise ValueError("epsilon must be positive")
-        self.gamma = np.ones(dim, dtype=dtype)
-        self.beta = np.zeros(dim, dtype=dtype)
-        self.running_mean = np.zeros(dim, dtype=dtype)
-        self.running_var = np.ones(dim, dtype=dtype)
-        self.momentum = momentum
-        self.eps = eps
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, dim: int):
+        self.gamma = np.ones(dim)
+        self.beta = np.zeros(dim)
+        self.running_mean = np.zeros(dim)
+        self.running_var = np.ones(dim)
 
     def forward(self, x: np.ndarray, training: bool):
         if training:
@@ -186,12 +179,11 @@ class MLP:
         rng: np.random.Generator | None,
         batchnorm: bool = False,
         name: str = "mlp",
-        dtype=np.float64,
     ):
         dims = [in_dim, *hidden, out_dim]
         self.name = name
-        self.layers = [Dense(dims[i], dims[i + 1], rng, dtype) for i in range(len(dims) - 1)]
-        self.norms = [BatchNorm1d(h, dtype=dtype) for h in hidden] if batchnorm else None
+        self.layers = [Dense(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
+        self.norms = [BatchNorm1d(h) for h in hidden] if batchnorm else None
         self.generation = next(_generations)
         self.freeze()
 
@@ -276,19 +268,13 @@ class Adam:
     """Bias-corrected Adam over a dict of named parameter arrays, updated in
     place through `writing`."""
 
-    def __init__(
-        self,
-        params: dict[str, np.ndarray],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -300,31 +286,23 @@ class Adam:
             v += (1 - beta2) * (g * g - v)
             p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
 
-        evaluated in the same order and dtypes, into two scratch buffers
-        shared by all parameters.  The buffers are freed on return: kept
-        between steps, they would add to the memory peak of the next
-        training step.
+        evaluated in the same order, into two scratch arrays shared by all
+        parameters.  The scratch is freed on return: kept between steps, it
+        would add to the memory peak of the next training step.
         """
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        nbytes = max(
-            (g.size * np.result_type(g, self.m[name]).itemsize for name, g in grads.items()), default=0
-        )
-        scratch = (np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8))
-
-        def buffers(shape, dtype):
-            size = math.prod(shape) * dtype.itemsize
-            return (buf[:size].view(dtype).reshape(shape) for buf in scratch)
+        size = max((g.size for g in grads.values()), default=0)
+        scratch = (np.empty(size), np.empty(size))
 
         with writing(self.params):
             for name, g in grads.items():
                 p = self.params[name]
                 m = self.m[name]
                 v = self.v[name]
-                # the moments in the dtype of g - m, the update in p's
-                a, _ = buffers(p.shape, np.result_type(g, m))
+                a, b = (buf[: p.size].reshape(p.shape) for buf in scratch)
                 np.subtract(g, m, out=a)
                 np.multiply(1.0 - self.beta1, a, out=a)
                 m += a
@@ -332,7 +310,6 @@ class Adam:
                 np.subtract(a, v, out=a)
                 np.multiply(1.0 - self.beta2, a, out=a)
                 v += a
-                a, b = buffers(p.shape, p.dtype)
                 np.divide(m, bc1, out=a)
                 np.multiply(self.lr, a, out=a)
                 np.divide(v, bc2, out=b)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from caster.cli import main
-from caster.model import CasterModel
+from caster.cli import DEFAULTS, main
+from caster.model import CasterModel, load_checkpoint
 from caster.corpus import PairCorpus, PairExample, atom_tokenize, write_pair_corpus
 from caster.spm import Vocabulary, mine_vocabulary
 from caster.synthetic import planted_motif_dataset, unlabelled_pair_corpus
+from test_model import save_checkpoint_with_dtype
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +223,17 @@ class TestPipeline:
         assert rc == 2
         assert "v1 text checkpoint" in capsys.readouterr().err
 
+    def test_float32_checkpoint_exits_2(self, trained, tmp_path, capsys):
+        root, out = trained
+        ckpt = tmp_path / "single.ckpt"
+        save_checkpoint_with_dtype(ckpt, load_checkpoint(out / "stage2" / "model.ckpt"), "float32")
+        rc = main(["predict", "--vocab", str(root / "vocab.txt"), "--checkpoint", str(ckpt),
+                   "--pairs", str(root / "unlabelled.tsv"), "--out", str(tmp_path / "s.tsv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: array 'encoder.0.W' is float32" in err
+        assert not (tmp_path / "s.tsv").exists()
+
     def test_bad_vocabulary_frequency_exits_1(self, trained, tmp_path, capsys):
         root, out = trained
         lines = (root / "vocab.txt").read_text().splitlines()
@@ -322,13 +334,50 @@ class TestSettingsValidation:
                      "--labelled", str(root / "labelled.tsv"),
                      "--out-dir", str(tmp_path / "out"), *SMALL_NET, *extra])
 
-    @pytest.mark.parametrize("dtype", ["foo", "int64", "float16", "complex128"])
-    def test_config_file_dtype_exits_2(self, workspace, tmp_path, capsys, dtype):
+    def _unknown_key(self, workspace, tmp_path, capsys, text, lineno, key):
         conf = tmp_path / "run.conf"
-        conf.write_text(f"dtype={dtype}\n")
+        conf.write_text(text)
         assert self._train(workspace, tmp_path, "--config", str(conf)) == 2
-        assert f"dtype must be 'float64' or 'float32', got '{dtype}'" in capsys.readouterr().err
+        assert f"{conf}: line {lineno}: unknown key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line, key", [
+        ("refine_steps=3", "refine_steps"),
+        ("lamda1=0.1", "lamda1"),
+        (" Latent_dim = 6", "Latent_dim"),
+        ("verbose=1", "verbose"),
+    ])
+    def test_unknown_config_key_exits_2(self, workspace, tmp_path, capsys, line, key):
+        self._unknown_key(workspace, tmp_path, capsys, f"max_epochs=2\n# comment\n{line}\n", 3, key)
+
+    # float64 is the model's only dtype, so dtype is not a key at all
+    @pytest.mark.parametrize("dtype", ["foo", "int64", "float16", "complex128", "float32", "float64"])
+    def test_config_file_dtype_exits_2(self, workspace, tmp_path, capsys, dtype):
+        self._unknown_key(workspace, tmp_path, capsys, f"dtype={dtype}\n", 1, "dtype")
+
+    def test_config_file_with_every_key_is_accepted(self, workspace, tmp_path):
+        # one file serves every subcommand: each reads the keys it needs
+        root, _ = workspace
+        values = {
+            **DEFAULTS, "seed": 4, "min_freq": 25, "latent_dim": 6, "encoder_hidden": "24,24",
+            "decoder_hidden": "24,24", "predictor_hidden": "32,16", "batch_size": 32, "max_epochs": 2,
+        }
+        conf = tmp_path / "run.conf"
+        conf.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
+        vocab, out = tmp_path / "vocab.txt", tmp_path / "out"
+        assert main(["mine", "--corpus", str(root / "compounds.txt"), "--out", str(vocab),
+                     "--config", str(conf)]) == 0
+        assert vocab.read_bytes() == (root / "vocab.txt").read_bytes()
+        assert main(["train", "--vocab", str(vocab), "--labelled", str(root / "labelled.tsv"),
+                     "--out-dir", str(out), "--config", str(conf)]) == 0
+        used = dict(line.split("=", 1) for line in (out / "config_used.txt").read_text().splitlines())
+        assert used == {key: str(value) for key, value in values.items() if key not in ("min_freq", "max_merges")}
+
+    def test_dtype_flag_exits_2(self, workspace, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            self._train(workspace, tmp_path, "--dtype", "float32")
+        assert info.value.code == 2
+        assert "unrecognized arguments: --dtype float32" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--encoder-hidden", "--decoder-hidden", "--predictor-hidden"])
     def test_zero_width_layer_exits_2(self, workspace, tmp_path, capsys, flag):
@@ -402,21 +451,21 @@ class TestInitCheckpoint:
         assert self._train(trained, tmp_path, "--config", str(conf)) == 0
         used = dict(line.split("=", 1) for line in (tmp_path / "out" / "config_used.txt").read_text().splitlines())
         assert {key: used[key] for key in ("latent_dim", "encoder_hidden", "decoder_hidden",
-                                           "predictor_hidden", "magnifier", "dtype")} == {
+                                           "predictor_hidden", "magnifier")} == {
             "latent_dim": "6", "encoder_hidden": "24,24", "decoder_hidden": "24,24",
-            "predictor_hidden": "32,16", "magnifier": "100.0", "dtype": "float64",
+            "predictor_hidden": "32,16", "magnifier": "100.0",
         }
+        assert "dtype" not in used
         assert used["lr"] == "0.002"
 
     def test_matching_architecture_settings_are_accepted(self, trained, tmp_path):
         assert self._train(trained, tmp_path, "--latent-dim", "6", "--encoder-hidden", "24,24",
-                           "--dtype", "float64", "--magnifier", "100") == 0
+                           "--magnifier", "100") == 0
 
     @pytest.mark.parametrize("flags, key", [
         (("--latent-dim", "3"), "latent_dim"),
         (("--predictor-hidden", "32"), "predictor_hidden"),
         (("--magnifier", "50"), "magnifier"),
-        (("--dtype", "float32"), "dtype"),
     ])
     def test_disagreeing_flag_exits_2(self, trained, tmp_path, capsys, flags, key):
         assert self._train(trained, tmp_path, *flags) == 2
@@ -426,7 +475,7 @@ class TestInitCheckpoint:
 
     def test_disagreeing_config_file_exits_2(self, trained, tmp_path, capsys):
         conf = tmp_path / "run.conf"
-        conf.write_text("dtype=foo\nlatent_dim=3\n")
+        conf.write_text("magnifier=100.0\nlatent_dim=3\n")
         assert self._train(trained, tmp_path, "--config", str(conf)) == 2
         err = capsys.readouterr().err
         assert f"{conf}: latent_dim=3 disagrees with the checkpoint" in err

@@ -76,7 +76,6 @@ def reference_step(model, X, y, training=True):
     n = X.shape[0]
     lam1 = w.lambda1
 
-    X = np.asarray(X, dtype=model.config.np_dtype())
     Z, cache_x = model.encoder.forward(X, training)
     Brows, cache_u = model.encoder.forward(model._eye, training)
     B = Brows.T
@@ -296,45 +295,42 @@ class TestNumpySolve:
     """caster's numpy Cholesky solve against scipy's, where the projection is
     worst conditioned: lambda1 = 1e-5 and a nearly rank-deficient basis."""
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    # float64 is the model's only dtype; each case checks its arrays have it
+    @pytest.mark.parametrize("dtype", [np.float64])
     def test_matches_scipy(self, rng, dtype):
         d, k, n, lam = 8, 60, 5, 1e-5
         for _ in range(10):
             B = 0.1 * rng.normal(size=(d, k))
             B[-1] = rng.normal(size=d - 1) @ B[:-1] + 1e-7 * rng.normal(size=k)
-            B = B.astype(dtype)
-            Z = (0.1 * rng.normal(size=(n, d))).astype(dtype)
-            B64, Z64 = B.astype(np.float64), Z.astype(np.float64)
-            M = B64 @ B64.T + lam * np.eye(d)
+            Z = 0.1 * rng.normal(size=(n, d))
+            M = B @ B.T + lam * np.eye(d)
             assert np.linalg.cond(M) > 1e5
             factor = cho_factor(M)
-            ref = cho_solve(factor, Z64.T)
-            ref += cho_solve(factor, Z64.T - M @ ref)
+            ref = cho_solve(factor, Z.T)
+            ref += cho_solve(factor, Z.T - M @ ref)
 
             L = caster.model.cho_factor(M)
             scipy_L = np.tril(factor[0]) if factor[1] else np.triu(factor[0]).T
             assert np.abs(L - scipy_L).max() <= 1e-10 * np.abs(scipy_L).max()
 
             W, _ = caster.model._dual_solve(Z, B, lam)
-            W64, _ = caster.model._dual_solve(Z64, B64, lam)
             assert W.dtype == dtype
-            # a float32 basis is solved in float64 and only the result rounded
-            np.testing.assert_array_equal(W, W64.astype(dtype))
-            assert np.abs(W64 - ref).max() <= 1e-10 * np.abs(ref).max()
-            R, R_ref = W64.T @ B64, ref.T @ B64
+            assert np.abs(W - ref).max() <= 1e-10 * np.abs(ref).max()
+            R, R_ref = W.T @ B, ref.T @ B
             assert np.abs(R - R_ref).max() <= 1e-10 * np.abs(R_ref).max()
 
 
 class TestIdentityFreeBasis:
     """The encoder's basis pass against the slow pass over np.eye(k)."""
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("dtype", ["float64"])
     def test_basis_equals_identity_pass(self, rng, dtype):
-        m = tiny_model(k=300, d=8, encoder_hidden=(64, 32), dtype=dtype, seed=1)
+        m = tiny_model(k=300, d=8, encoder_hidden=(64, 32), seed=1)
         with writing(m.encoder.parameters()):
             for layer in m.encoder.layers:
                 layer.b[...] = rng.normal(size=layer.b.shape)
-        oracle = m.encoder.forward(np.eye(m.k, dtype=dtype))[0].T
+        oracle = m.encoder.forward(np.eye(m.k))[0].T
+        assert m.dictionary_basis().dtype == dtype
         np.testing.assert_array_equal(m.dictionary_basis(), oracle)
 
     def test_step_equals_identity_pass(self, rng):
@@ -480,15 +476,15 @@ class TestStepGradient:
         assert report.passed, f"{report.max_rel_error} at {report.worst_param}"
 
 
-def _closed_form_case(size, rng, dtype="float64"):
+def _closed_form_case(size, rng):
     """A model and a multi-hot batch: toy, k=300, or paper scale (the default
     architecture, k=1722, batch 256, about 17 substructures per row)."""
     if size == "toy":
-        m, n = tiny_model(k=10, d=3, seed=5, dtype=dtype), 6
+        m, n = tiny_model(k=10, d=3, seed=5), 6
     elif size == "k300":
-        m, n = tiny_model(k=300, d=8, encoder_hidden=(64, 32), seed=6, dtype=dtype), 32
+        m, n = tiny_model(k=300, d=8, encoder_hidden=(64, 32), seed=6), 32
     else:
-        m, n = CasterModel(1722, ModelConfig(dtype=dtype), LossWeights(), seed=0), 256
+        m, n = CasterModel(1722, ModelConfig(), LossWeights(), seed=0), 256
     X = (rng.random((n, m.k)) < min(0.4, 17 / m.k)).astype(float)
     y = rng.integers(0, 2, n).astype(float)
     return m, X, y
@@ -521,27 +517,20 @@ class TestClosedFormProjection:
             ("toy", "float64", 1e-13),
             ("k300", "float64", 1e-13),
             ("paper", "float64", 1e-13),
-            ("toy", "float32", 1e-5),
-            ("k300", "float32", 1e-5),
-            ("paper", "float32", 1e-5),
         ],
     )
     def test_step_matches_reference(self, rng, size, dtype, tol):
-        m, X, y = _closed_form_case(size, rng, dtype)
+        m, X, y = _closed_form_case(size, rng)
         snap = m.snapshot()
         for labels, training in ((y, True), (None, True), (y, False), (None, False)):
             loss, parts, grads = m.step(X, labels, training)
             m.restore(snap)
             ref_loss, ref_parts, ref_grads = reference_step(m, X, labels, training)
             m.restore(snap)
-            if dtype == "float64":
-                assert loss == ref_loss and parts == ref_parts
-            else:
-                assert loss == pytest.approx(ref_loss, rel=tol)
-                assert parts == pytest.approx(ref_parts, rel=tol)
+            assert loss == ref_loss and parts == ref_parts
             assert grads.keys() == ref_grads.keys()
             for name, ref in ref_grads.items():
-                assert grads[name].dtype == ref.dtype, name
+                assert grads[name].dtype == ref.dtype == dtype, name
                 assert np.abs(grads[name] - ref).max() <= tol * np.abs(ref).max(), name
 
     @pytest.mark.parametrize("size", ["toy", "k300", "paper"])
@@ -746,11 +735,12 @@ class TestExplain:
 def _scorer_case(size, dtype, seed=6):
     """A model, a vocabulary of k bracket atoms (no merges, so each atom is
     its own substructure), 12 pairs that share a few of them and the pairs'
-    functional vectors."""
+    functional vectors.  Every array of the model has `dtype`."""
     if size == "toy":
-        m = tiny_model(k=10, d=3, seed=seed, dtype=dtype)
+        m = tiny_model(k=10, d=3, seed=seed)
     else:
-        m = tiny_model(k=300, d=8, encoder_hidden=(64, 32), seed=seed, dtype=dtype)
+        m = tiny_model(k=300, d=8, encoder_hidden=(64, 32), seed=seed)
+    assert {a.dtype for a in m.state_arrays().values()} == {np.dtype(dtype)}
     atoms = [f"[C{i}]" for i in range(m.k)]
     vocab = Vocabulary(frozenset(atoms), [], [(a, 1) for a in atoms], eta=1, ell=0)
     rng = np.random.default_rng(seed)
@@ -782,7 +772,7 @@ class TestScorer:
     """The frozen scorer against the oracle that rebuilds B on every call,
     including after every way the encoder or lambda1 can change."""
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("dtype", ["float64"])
     @pytest.mark.parametrize("size", ["toy", "k300"])
     def test_matches_oracle(self, size, dtype):
         m, vocab, pairs, X = _scorer_case(size, dtype)
@@ -827,7 +817,7 @@ class TestScorer:
         after = assert_matches_oracle(m, vocab, pairs, X)
         assert np.abs(after - before).max() > 0
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("dtype", ["float64"])
     def test_after_adam_step(self, dtype):
         def adam_step(m, X):
             y = np.arange(len(X)) % 2.0
@@ -836,7 +826,7 @@ class TestScorer:
 
         self._changed(adam_step, dtype)
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("dtype", ["float64"])
     def test_after_restore(self, dtype):
         def restore(m, X):
             other, _, _, _ = _scorer_case("k300", dtype, seed=7)
@@ -844,7 +834,7 @@ class TestScorer:
 
         self._changed(restore, dtype)
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("dtype", ["float64"])
     def test_outside_write_is_refused(self, dtype):
         m, vocab, pairs, X = _scorer_case("k300", dtype)
         before = assert_matches_oracle(m, vocab, pairs, X)
@@ -855,14 +845,14 @@ class TestScorer:
             np.add(W, 1.0, out=W)
         np.testing.assert_array_equal(assert_matches_oracle(m, vocab, pairs, X), before)
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("dtype", ["float64"])
     def test_after_lambda1_change(self, dtype):
         def new_weights(m, X):
             m.weights = LossWeights(lambda1=0.5)
 
         self._changed(new_weights, dtype)
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("dtype", ["float64"])
     def test_model_from_checkpoint(self, tmp_path, dtype):
         def reload(m, X):
             other, _, _, _ = _scorer_case("k300", dtype, seed=7)
@@ -951,9 +941,9 @@ class TestWriteStamp:
 class TestAdamInPlace:
     """Adam's buffered update against the textbook expressions it replaces."""
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("dtype", ["float64"])
     def test_bit_identical_to_the_plain_formula(self, rng, dtype):
-        m = tiny_model(k=12, d=4, seed=3, dtype=dtype)
+        m = tiny_model(k=12, d=4, seed=3)
         X = (rng.random((8, 12)) < 0.4).astype(float)
         y = np.arange(8) % 2.0
         adam = Adam(m.parameters(), lr=1e-2)
@@ -976,6 +966,21 @@ class TestAdamInPlace:
                 np.testing.assert_array_equal(params[name], ref[name], err_msg=name)
                 np.testing.assert_array_equal(adam.m[name], ref_m[name], err_msg=name)
                 np.testing.assert_array_equal(adam.v[name], ref_v[name], err_msg=name)
+
+
+def save_checkpoint_with_dtype(path, model, dtype):
+    """Write `model` as a v2 checkpoint from before float64 became the only
+    dtype: its header has a `dtype` entry and its arrays are in `dtype`."""
+    save_checkpoint(path, model)
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    header = {**json.loads(arrays.pop("header").tobytes()), "dtype": dtype}
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+            **{name: a.astype(dtype) for name, a in arrays.items()},
+        )
 
 
 @pytest.fixture(scope="module")
@@ -1103,19 +1108,37 @@ class TestCheckpoint:
 
     def test_loss_weights_and_config_roundtrip(self, tmp_path):
         weights = LossWeights(alpha=0.2, beta=0.3, gamma=0.9, lambda1=1e-4, lambda2=0.05)
-        for dtype in ("float64", "float32"):
-            m = tiny_model(weights=weights, magnifier=50.0, dtype=dtype)
-            path = tmp_path / "model.ckpt"
-            save_checkpoint(path, m)
-            assert list(tmp_path.iterdir()) == [path]
-            loaded = load_checkpoint(path)
-            assert loaded.weights == weights
-            assert loaded.config == m.config
-            assert loaded.config.magnifier == 50.0
-            saved_arrays = m.state_arrays()
-            for name, arr in loaded.state_arrays().items():
-                assert arr.dtype == np.dtype(dtype)
-                assert arr.tobytes() == saved_arrays[name].tobytes()
+        m = tiny_model(weights=weights, magnifier=50.0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, m)
+        assert list(tmp_path.iterdir()) == [path]
+        loaded = load_checkpoint(path)
+        assert loaded.weights == weights
+        assert loaded.config == m.config
+        assert loaded.config.magnifier == 50.0
+        saved_arrays = m.state_arrays()
+        for name, arr in loaded.state_arrays().items():
+            assert arr.dtype == np.float64
+            assert arr.tobytes() == saved_arrays[name].tobytes()
+
+    def test_checkpoint_with_float64_dtype_header_loads_bit_identical(self, tmp_path, rng):
+        m = tiny_model(seed=8)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint_with_dtype(path, m, "float64")
+        loaded = load_checkpoint(path)
+        saved = m.state_arrays()
+        for name, arr in loaded.state_arrays().items():
+            assert arr.dtype == np.float64
+            assert arr.tobytes() == saved[name].tobytes()
+        X = (rng.random((20, m.k)) < 0.4).astype(float)
+        np.testing.assert_array_equal(loaded.predict_pairs(X), m.predict_pairs(X))
+
+    def test_float32_checkpoint_names_path_and_array(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint_with_dtype(path, tiny_model(), "float32")
+        with pytest.raises(CheckpointError, match=r"array 'encoder\.0\.W' is float32 .*model expects float64") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
 
 
 class TestTrainOnCorpus:
@@ -1161,15 +1184,3 @@ class TestPretrainOnCorpus:
         with pytest.raises(TrainingError, match="empty"):
             pretrain(m, PairCorpus([], "unlabelled"), small_vocab, TrainingConfig(seed=0))
 
-
-class TestSinglePrecisionFlag:
-    def test_float32_model_trains_and_predicts(self, rng):
-        m = tiny_model(k=10, d=3, dtype="float32", seed=2)
-        assert m.encoder.layers[0].W.dtype == np.float32
-        X = (rng.random((32, 10)) < 0.4).astype(np.float64)
-        y = rng.integers(0, 2, 32).astype(np.float64)
-        result = train_arrays(m, X, y, TrainingConfig(batch_size=8, max_epochs=2, patience=2, seed=0))
-        assert np.isfinite(result.test_metrics["roc_auc"])
-        assert m.encode(X[:4]).dtype == np.float32
-        p = m.predict_pairs(X[:4])
-        assert np.all((p > 0) & (p < 1))
