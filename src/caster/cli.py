@@ -2,7 +2,7 @@
 
 Flag values take precedence over a ``--config`` key=value file, which in
 turn overrides built-in defaults; the file may set only the keys of
-``DEFAULTS`` and ``seed``.  Every command is deterministic given
+``DEFAULTS`` and ``seed``, each once.  Every command is deterministic given
 ``--seed`` (env var CASTER_SEED is the fallback); the effective
 configuration is echoed into the output directory for provenance.
 
@@ -94,6 +94,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     except UnicodeDecodeError:
         raise undecodable(path, UsageError) from None
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -105,6 +106,11 @@ def _read_config_file(path: str) -> dict[str, str]:
         if key not in DEFAULTS and key != "seed":
             known = ", ".join(sorted([*DEFAULTS, "seed"]))
             raise UsageError(f"{path}: line {lineno}: unknown key {key!r}; the keys are {known}")
+        if key in first_line:
+            raise UsageError(
+                f"{path}: line {lineno}: key {key!r} is already set on line {first_line[key]}; set each key once"
+            )
+        first_line[key] = lineno
         values[key] = value.strip()
     return values
 
@@ -318,8 +324,9 @@ def cmd_explain(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     model = load_checkpoint(args.checkpoint, vocab=vocab)
     # one segmentation per compound and one scorer for both the score and the table
-    r, table = _explain_vector(model, functional_representation(args.left, args.right, vocab), vocab)
-    prob = model.predict_probability(r)
+    x = functional_representation(args.left, args.right, vocab)
+    table = _explain_vector(model, x, vocab)
+    prob = model.predict_pairs(x)[0]
     lines = "".join(f"{tok}\t{coef:.6f}\n" for tok, coef in table)
     if args.out:
         Path(args.out).write_text(lines, encoding="utf-8")

@@ -188,22 +188,37 @@ def load_pair_corpus(path, kind: str) -> PairCorpus:
     {0,1}; unlabelled is ``smiles_1<TAB>smiles_2``.  Extra columns in an
     unlabelled file are ignored with a warning.  Rows whose SMILES do not
     tokenize are skipped and counted.  Duplicate unordered pairs are
-    rejected.
+    rejected.  The file is read one line at a time.
     """
     if kind not in (LABELLED, UNLAB):
         raise ValueError(f"unknown corpus kind {kind!r}")
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            try:
+                examples, skipped = _read_pairs(path, fh, kind)
+            except CorpusFormatError:
+                # an undecodable byte anywhere in the file is the error
+                # reported, even after a bad row
+                fh.read()
+                raise
     except UnicodeDecodeError:
         raise undecodable(path, CorpusFormatError) from None
-    if not lines:
-        raise CorpusFormatError(f"{path}: empty file, header row required")
+    if skipped:
+        log.warning("%s: skipped %d rows with unparseable SMILES", path, skipped)
+    log.info("%s: loaded %d %s pairs", path, len(examples), kind)
+    return PairCorpus(examples, kind)
 
-    header = lines[0].split("\t")
+
+def _read_pairs(path, fh, kind: str) -> tuple[list[PairExample], int]:
+    """The examples of an open pair TSV and the number of rows skipped."""
+    first = fh.readline()
+    if not first:
+        raise CorpusFormatError(f"{path}: empty file, header row required")
+    first = first.rstrip("\n")
+    header = first.split("\t")
     if len(header) < 2 or header[0] != "smiles_1" or header[1] != "smiles_2":
         raise CorpusFormatError(
-            f"{path}: line 1: header must start with smiles_1<TAB>smiles_2, got {lines[0]!r}"
+            f"{path}: line 1: header must start with smiles_1<TAB>smiles_2, got {first!r}"
         )
     if kind == LABELLED:
         if len(header) < 3 or header[2] != "label":
@@ -220,7 +235,8 @@ def load_pair_corpus(path, kind: str) -> PairCorpus:
     examples: list[PairExample] = []
     seen: dict[tuple[str, str], int] = {}
     skipped = 0
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(fh, start=2):
+        line = line.rstrip("\n")
         if not line:
             continue
         fields = line.split("\t")
@@ -247,11 +263,7 @@ def load_pair_corpus(path, kind: str) -> PairCorpus:
             )
         seen[key] = lineno
         examples.append(ex)
-
-    if skipped:
-        log.warning("%s: skipped %d rows with unparseable SMILES", path, skipped)
-    log.info("%s: loaded %d %s pairs", path, len(examples), kind)
-    return PairCorpus(examples, kind)
+    return examples, skipped
 
 
 def write_pair_corpus(path, corpus: PairCorpus) -> None:

@@ -7,6 +7,11 @@ closed form is differentiated analytically (projection loss), and feeds
 the magnified projection coefficients to a batch-normalized perceptron
 that scores the interaction probability (classification loss).
 
+The coefficients of a batch Z (n, d) are Z P with P = M^{-1} B (d x k),
+M = B B^T + lambda1 I: rank d.  The perceptron's first layer is linear, so
+it reads them as an `nn.LowRank` input, and no step, score or explanation
+forms the (n, k) coefficient array.
+
 Training is two-staged: unsupervised pre-training on unlabelled pairs
 minimizes alpha*recon + beta*projection; supervised fine-tuning adds
 gamma*classification with ROC-AUC early stopping on a validation split.
@@ -27,7 +32,7 @@ import numpy as np
 from . import metrics
 from .corpus import PairCorpus
 from .featurize import featurize_pairs, functional_representation
-from .nn import MLP, Adam, Identity, Parameters, merge_grads, sigmoid, writing
+from .nn import MLP, Adam, Identity, LowRank, Parameters, merge_grads, sigmoid, writing
 from .spm import Vocabulary
 
 log = logging.getLogger(__name__)
@@ -36,7 +41,8 @@ CKPT_MAGIC = "caster-ckpt"
 CKPT_VERSION = 2
 
 _CLAMP = 1e-12
-# rows per predict_pairs pass: bounds the (rows, k) coefficient array
+# rows per predict_pairs pass: bounds the (rows, h) activations of the
+# predictor's hidden layers (h = 1024 by default)
 _PREDICT_ROWS = 1024
 
 
@@ -188,18 +194,12 @@ def ridge_coefficients(z: np.ndarray, B: np.ndarray, lambda1: float) -> np.ndarr
     """
     if lambda1 <= 0:
         raise ValueError(f"lambda1 must be positive (the projection solve requires it), got {lambda1}")
-    M = _gram(B, lambda1)
-    return _project(z, B, M, cho_factor(M))
-
-
-def _project(z: np.ndarray, B: np.ndarray, M: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """B^T M^{-1} z for z (d,) or (n, d), given M = B B^T + lambda1 I and its factor."""
     single = z.ndim == 1
     Z = np.atleast_2d(z)
     d = B.shape[0]
     if Z.shape[1] != d:
         raise ValueError(f"z has dimension {Z.shape[1]}, basis has d={d}")
-    R = _refined_solve(M, factor, Z).T @ B
+    R = _dual_solve(Z, B, lambda1)[0].T @ B
     return R[0] if single else R
 
 
@@ -213,26 +213,23 @@ class Scorer:
     """What predicting and explaining read of an encoder, frozen.
 
     Holds the key it was built for, (encoder generation, lambda1), the
-    dictionary basis B and M = B B^T + lambda1 I with its Cholesky factor,
-    all read-only, so projecting a batch is one d x d solve instead of an
-    encoder pass over the k x k identity.  Get one from
-    `CasterModel.scorer()`, which rebuilds it whenever the key has changed.
+    dictionary basis B and P = M^{-1} B with M = B B^T + lambda1 I, both
+    d x k and read-only.  The ridge coefficients of latent vectors Z are
+    Z P, so no call after the build solves anything: `predict_pairs` feeds
+    the predictor LowRank(Z, magnifier P), and `explain_pair` computes
+    only the columns of P it ranks.  The predictor is not part of it; it
+    is read live on every call.  Get one from `CasterModel.scorer()`,
+    which rebuilds it whenever the key has changed.
     """
 
     key: tuple[int, float]
     B: np.ndarray
-    M: np.ndarray
-    factor: np.ndarray
+    P: np.ndarray
 
     @classmethod
     def build(cls, key: tuple[int, float], B: np.ndarray) -> "Scorer":
         M = _gram(B, key[1])
-        return cls(key, _frozen(B), _frozen(M), _frozen(cho_factor(M)))
-
-    def project(self, z: np.ndarray) -> np.ndarray:
-        """Ridge coefficients of latent vectors, (d,) or (n, d), in the basis B:
-        `ridge_coefficients` with M and its factor computed once."""
-        return _project(z, self.B, self.M, self.factor)
+        return cls(key, _frozen(B), _frozen(_refined_solve(M, cho_factor(M), B.T)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,26 +348,24 @@ class CasterModel:
         return self._scorer
 
     def project(self, z: np.ndarray) -> np.ndarray:
-        """Ridge projection coefficients of latent vectors in the dictionary basis."""
-        return self.scorer().project(z)
-
-    def predict_probability(self, r: np.ndarray) -> np.ndarray:
-        """sigmoid(predictor(magnified coefficients)), inference-mode batch norm."""
-        single = r.ndim == 1
-        logits, _ = self.predictor.forward(self.config.magnifier * np.atleast_2d(r), training=False)
-        p = sigmoid(logits[:, 0])
-        return float(p[0]) if single else p
+        """Ridge projection coefficients z P of latent vectors, (d,) or
+        (n, d), in the dictionary basis."""
+        return z @ self.scorer().P
 
     def predict_pairs(self, X: np.ndarray) -> np.ndarray:
-        """Interaction probabilities for a batch of functional vectors, scored
-        `_PREDICT_ROWS` rows at a time."""
+        """Interaction probabilities for a batch of functional vectors, with
+        inference-mode batch norm, scored `_PREDICT_ROWS` rows at a time.
+
+        The predictor reads the magnified coefficients Z P as
+        LowRank(Z, magnifier P), so no (rows, k) array is formed.
+        """
         X = np.atleast_2d(X)
-        scorer = self.scorer()
+        V = self.config.magnifier * self.scorer().P
         out = np.empty(X.shape[0], dtype=np.float64)
         for lo in range(0, X.shape[0], _PREDICT_ROWS):
-            part = X[lo : lo + _PREDICT_ROWS]
-            r = scorer.project(self.encode(part))
-            out[lo : lo + _PREDICT_ROWS] = self.predict_probability(r)
+            Z = self.encode(X[lo : lo + _PREDICT_ROWS])
+            logits, _ = self.predictor.forward(LowRank(Z, V), training=False)
+            out[lo : lo + _PREDICT_ROWS] = sigmoid(logits[:, 0])
         return out
 
     # -- one training step (forward + analytic backward) --------------------
@@ -382,7 +377,9 @@ class CasterModel:
         recon/proj/clf values.  L_proj is taken in closed form: with
         W = (B B^T + lambda1 I)^{-1} Z^T the ridge residual is lambda1 W^T
         and dL_proj/dR = 0, so only the classification loss is differentiated
-        through the solve, and a step without labels forms no (n, k) array.
+        through the solve.  The predictor reads magnifier R = W^T (magnifier B)
+        as a LowRank input and returns the gradients of both factors, so no
+        step forms an (n, k) array.
         """
         w = self.weights
         n = X.shape[0]
@@ -401,10 +398,9 @@ class CasterModel:
 
         lc = 0.0
         if y is not None:
-            R = Wsol.T @ B  # (n, k)
-            logits, cache_p = self.predictor.forward(self.config.magnifier * R, training)
-            P = sigmoid(logits[:, 0])
-            lc = classification_loss(P, y)
+            logits, cache_p = self.predictor.forward(LowRank(Wsol.T, self.config.magnifier * B), training)
+            p = sigmoid(logits[:, 0])
+            lc = classification_loss(p, y)
 
         loss = w.alpha * lr_loss + w.beta * lp + (w.gamma * lc if y is not None else 0.0)
         if not np.isfinite(loss):
@@ -428,15 +424,14 @@ class CasterModel:
             grad_B += w.beta * (2.0 * w.lambda2 * B - (lam1 / n) * (Wsol @ Wsol.T) @ B)
 
         if y is not None and w.gamma != 0.0:
-            g_logits = (w.gamma * (P - y) / n)[:, None]
-            g_pin, pred_grads = self.predictor.backward(cache_p, g_logits)
-            grad_R = self.config.magnifier * g_pin
+            g_logits = (w.gamma * (p - y) / n)[:, None]
+            # the gradients of the predictor input's two factors, Wsol^T and magnifier B
+            (grad_Wt, grad_mB), pred_grads = self.predictor.backward(cache_p, g_logits)
             grad_dicts.append(pred_grads)
 
-            # Back through R = Wsol^T B with Wsol = M^{-1} Z^T, M = B B^T + lam1 I.
-            grad_W = B @ grad_R.T
-            grad_B += Wsol @ grad_R
-            grad_Zt = cho_solve(factor, grad_W)
+            # Back through Wsol = M^{-1} Z^T with M = B B^T + lam1 I.
+            grad_B += self.config.magnifier * grad_mB
+            grad_Zt = cho_solve(factor, grad_Wt.T)
             grad_Z += grad_Zt.T
             grad_M = -grad_Zt @ Wsol.T
             grad_B += (grad_M + grad_M.T) @ B
@@ -618,28 +613,25 @@ def explain_pair(model: CasterModel, left: str, right: str, vocab: Vocabulary) -
     magnitude; empty (with a warning) when the pair shares no vocabulary
     substructure.
     """
-    x = functional_representation(left, right, vocab)
-    if not x.any():  # nothing to rank, so no projection
-        log.warning(_NOTHING_SHARED)
-        return []
-    return _explain_vector(model, x, vocab)[1]
+    return _explain_vector(model, functional_representation(left, right, vocab), vocab)
 
 
 _NOTHING_SHARED = "pair shares no vocabulary substructure; nothing to explain"
 
 
-def _explain_vector(model: CasterModel, x: np.ndarray, vocab: Vocabulary):
-    """(r, table) for one functional vector x: its ridge coefficients, for
-    scoring, and the ranked table `explain_pair` returns (empty, with a
-    warning, when x is zero)."""
-    r = model.project(model.encode(x))
+def _explain_vector(model: CasterModel, x: np.ndarray, vocab: Vocabulary) -> list[tuple[str, float]]:
+    """The ranked table `explain_pair` returns for one functional vector x:
+    the coefficients z P[:, S] of the substructures S present in x and of no
+    others, magnified; empty, with a warning and no projection, when x is
+    zero."""
     present = np.flatnonzero(x)
     if len(present) == 0:
         log.warning(_NOTHING_SHARED)
-    magnified = model.config.magnifier * r
-    ranked = sorted(present, key=lambda i: (-abs(magnified[i]), i))
+        return []
+    magnified = model.config.magnifier * (model.encode(x) @ model.scorer().P[:, present])
+    ranked = sorted(range(len(present)), key=lambda j: (-abs(magnified[j]), j))
     # index the substructures directly: vocab.tokens() builds all k names
-    return r, [(vocab.substructures[i][0], float(magnified[i])) for i in ranked]
+    return [(vocab.substructures[present[j]][0], float(magnified[j])) for j in ranked]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Hand-written forward/backward passes for affine layers, ReLU, sigmoid and
 1-D batch normalization, plus a bias-corrected Adam optimizer.  Caches are
 passed explicitly so the same layer can be applied to several inputs
-within one step.  Double precision throughout.  The
+within one step.  An affine layer also takes two inputs that stand for
+matrices it never builds: `Identity` (the n x n identity) and `LowRank`
+(a product U @ V of rank d).  Double precision throughout.  The
 central-finite-difference gradient checker that verifies these passes
 lives in the tests (`tests/test_nn.py`).
 
@@ -83,6 +85,23 @@ class Identity:
         self.shape = (n, n)
 
 
+class LowRank:
+    """The n x k product U @ V of U (n, d) and V (d, k) as a Dense input,
+    never materialised.
+
+    Dense maps it to U (V W^T) + b, takes (grad_out^T U) V as its weight
+    gradient and returns its input gradient as the pair (grad_U, grad_V):
+    the values the n x k product would give, at rank-d cost.
+    """
+
+    ndim = 2
+
+    def __init__(self, U: np.ndarray, V: np.ndarray):
+        self.U = U
+        self.V = V
+        self.shape = (U.shape[0], V.shape[1])
+
+
 class Dense:
     """Affine map y = x W^T + b for row-major batches."""
 
@@ -108,17 +127,24 @@ class Dense:
             raise ValueError(f"expected input of shape (n, {self.in_dim}), got {x.shape}")
         if isinstance(x, Identity):
             return np.add(self.W.T, self.b, order="C")
+        if isinstance(x, LowRank):
+            return x.U @ (x.V @ self.W.T) + self.b
         return x @ self.W.T + self.b
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray, input_grad: bool = True):
         """Gradients for the cached input `x`; returns (grad_x, grad_W, grad_b).
 
-        grad_x is None when `input_grad` is False.
+        grad_x is None when `input_grad` is False, and the pair
+        (grad_U, grad_V) for a LowRank input.
         """
         if grad_out.shape != (x.shape[0], self.out_dim):
             raise ValueError(f"upstream gradient shape {grad_out.shape} does not match output")
-        grad_x = grad_out @ self.W if input_grad else None
-        grad_W = grad_out.T if isinstance(x, Identity) else grad_out.T @ x
+        if isinstance(x, LowRank):
+            grad_x = (grad_out @ (self.W @ x.V.T), (x.U.T @ grad_out) @ self.W) if input_grad else None
+            grad_W = (grad_out.T @ x.U) @ x.V
+        else:
+            grad_x = grad_out @ self.W if input_grad else None
+            grad_W = grad_out.T if isinstance(x, Identity) else grad_out.T @ x
         return grad_x, grad_W, grad_out.sum(axis=0)
 
 
@@ -243,7 +269,7 @@ class MLP:
         """Returns (grad_input, grads) for the forward call that built `caches`.
 
         With `input_grad` False the first layer skips its input gradient and
-        grad_input is None.
+        grad_input is None; for a LowRank input it is the pair (grad_U, grad_V).
         """
         grads: dict[str, np.ndarray] = {}
         h_last = caches[-1]

@@ -350,6 +350,28 @@ class TestSettingsValidation:
     def test_unknown_config_key_exits_2(self, workspace, tmp_path, capsys, line, key):
         self._unknown_key(workspace, tmp_path, capsys, f"max_epochs=2\n# comment\n{line}\n", 3, key)
 
+    @pytest.mark.parametrize("text, lineno", [
+        ("lr=0.1\nlr=0.2\n", 2),
+        ("lr=0.1\n# override\n lr = 0.2\n", 3),
+    ])
+    def test_repeated_config_key_exits_2(self, workspace, tmp_path, capsys, text, lineno):
+        conf = tmp_path / "run.conf"
+        conf.write_text(text)
+        assert self._train(workspace, tmp_path, "--config", str(conf)) == 2
+        err = capsys.readouterr().err
+        assert f"{conf}: line {lineno}: key 'lr' is already set on line 1" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_used_is_accepted_as_config(self, workspace, tmp_path):
+        root, _ = workspace
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["train", "--vocab", str(root / "vocab.txt"), "--labelled", str(root / "labelled.tsv"),
+                     "--out-dir", str(first), "--seed", "4", *SMALL_NET]) == 0
+        assert main(["train", "--vocab", str(root / "vocab.txt"), "--labelled", str(root / "labelled.tsv"),
+                     "--out-dir", str(second), "--config", str(first / "config_used.txt")]) == 0
+        for name in ("config_used.txt", "history.tsv", "test_metrics.tsv"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
     # float64 is the model's only dtype, so dtype is not a key at all
     @pytest.mark.parametrize("dtype", ["foo", "int64", "float16", "complex128", "float32", "float64"])
     def test_config_file_dtype_exits_2(self, workspace, tmp_path, capsys, dtype):

@@ -170,6 +170,38 @@ class TestPairCorpusIO:
             load_pair_corpus(p, "labelled")
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_faults_near_the_end_of_a_long_file_name_their_line(self, tmp_path, newline):
+        # 5,000 distinct unordered pairs of parseable SMILES
+        rows = [f"{'C' * (1 + i % 50)}O\t{'N' * (1 + i // 50)}C\t{i % 2}".encode() for i in range(5000)]
+        p = tmp_path / "pairs.tsv"
+        p.write_bytes(newline.join([b"smiles_1\tsmiles_2\tlabel", *rows, b""]))
+        assert len(load_pair_corpus(p, "labelled")) == len(rows)
+        bad_row, bad_byte = list(rows), list(rows)
+        bad_row[4990] = b"CCO"  # line 4992
+        bad_byte[4995] = b"CC\xffO\tCCN\t1"  # line 4997
+        cases = [
+            (bad_row, "line 4992: expected 3 columns, got 1"),
+            (bad_byte, "line 4997: invalid UTF-8 byte 0xff"),
+        ]
+        # as when the file was decoded whole, the undecodable byte is
+        # reported even after a bad row, near it or far before it
+        for at in (4990, 100):
+            both = list(bad_byte)
+            both[at] = b"CCO"
+            cases.append((both, "line 4997: invalid UTF-8 byte 0xff"))
+        for lines, message in cases:
+            p.write_bytes(newline.join([b"smiles_1\tsmiles_2\tlabel", *lines, b""]))
+            with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(p))}: {message}$"):
+                load_pair_corpus(p, "labelled")
+
+    def test_pair_corpus_splits_only_on_newlines(self, tmp_path):
+        # as for the SMILES list: \x0c is no line boundary, so the row keeps
+        # its two columns and its unparseable compound is skipped
+        p = tmp_path / "pairs.tsv"
+        p.write_text("smiles_1\tsmiles_2\nCCO\tCC\x0cCN\nCCS\tCCP\n", encoding="utf-8")
+        assert load_pair_corpus(p, "unlabelled").examples == [PairExample("CCS", "CCP")]
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_smiles_corpus_undecodable_byte_names_file_and_line(self, tmp_path, newline):
         p = tmp_path / "smiles.txt"
         p.write_bytes(newline.join([b"CCO", b"CCN", b"CC\xffN", b""]))

@@ -138,13 +138,15 @@ def reference_step(model, X, y, training=True):
 
 
 def oracle_predict_pairs(model, X, chunk=1024):
-    """Oracle for predict_pairs: the dictionary basis rebuilt on every call."""
+    """Oracle for predict_pairs: the dictionary basis rebuilt on every call
+    and the (n, k) coefficients fed to the predictor."""
     X = np.atleast_2d(X)
     B = model.dictionary_basis()
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], chunk):
-        r = ridge_coefficients(model.encode(X[lo : lo + chunk]), B, model.weights.lambda1)
-        out[lo : lo + chunk] = model.predict_probability(r)
+        R = ridge_coefficients(model.encode(X[lo : lo + chunk]), B, model.weights.lambda1)
+        logits, _ = model.predictor.forward(model.config.magnifier * R, training=False)
+        out[lo : lo + chunk] = caster.nn.sigmoid(logits[:, 0])
     return out
 
 
@@ -427,7 +429,8 @@ class TestModelPieces:
             for layer in m.predictor.layers:
                 layer.W[...] = 0.0
                 layer.b[...] = 0.0
-        assert m.predict_probability(rng.normal(size=10)) == pytest.approx(0.5)
+        X = (rng.random((4, 10)) < 0.5).astype(float)
+        np.testing.assert_array_equal(m.predict_pairs(X), 0.5)
 
     def test_magnifier_first_layer_scaling_invariance(self, rng):
         # doubling the magnifier while halving first-layer weights keeps the
@@ -446,8 +449,8 @@ class TestModelPieces:
         assert [l.out_dim for l in m.encoder.layers] == [500, 500, 50]
         assert [l.out_dim for l in m.decoder.layers] == [500, 500, 100]
         assert [l.out_dim for l in m.predictor.layers] == [1024, 1024, 1024, 256, 64, 1]
-        p = m.predict_probability(np.zeros(100))
-        assert 0.0 < p < 1.0
+        p = m.predict_pairs(np.zeros(100))
+        assert p.shape == (1,) and 0.0 < p[0] < 1.0
 
     def test_latent_dim_must_be_below_k(self):
         with pytest.raises(ValueError, match="latent_dim"):
@@ -522,16 +525,23 @@ class TestClosedFormProjection:
     def test_step_matches_reference(self, rng, size, dtype, tol):
         m, X, y = _closed_form_case(size, rng)
         snap = m.snapshot()
+        feeds_batchnorm = {f"predictor.{i}.b" for i in range(len(m.config.predictor_hidden))}
         for labels, training in ((y, True), (None, True), (y, False), (None, False)):
             loss, parts, grads = m.step(X, labels, training)
             m.restore(snap)
             ref_loss, ref_parts, ref_grads = reference_step(m, X, labels, training)
             m.restore(snap)
-            assert loss == ref_loss and parts == ref_parts
+            assert (parts["recon"], parts["proj"]) == (ref_parts["recon"], ref_parts["proj"])
+            # the predictor reads its input in another order of products
+            assert abs(loss - ref_loss) <= tol * abs(ref_loss)
+            assert abs(parts["clf"] - ref_parts["clf"]) <= tol * abs(ref_parts["clf"])
             assert grads.keys() == ref_grads.keys()
             for name, ref in ref_grads.items():
                 assert grads[name].dtype == ref.dtype == dtype, name
-                assert np.abs(grads[name] - ref).max() <= tol * np.abs(ref).max(), name
+                # in training mode a bias that feeds a batch norm has gradient
+                # 0, so both values are rounding noise; scale by its layer's W
+                scale = ref_grads[name[:-1] + "W"] if training and name in feeds_batchnorm else ref
+                assert np.abs(grads[name] - ref).max() <= tol * np.abs(scale).max(), name
 
     @pytest.mark.parametrize("size", ["toy", "k300", "paper"])
     def test_residual_is_lambda1_w(self, rng, size):
@@ -552,30 +562,39 @@ class TestClosedFormProjection:
         _, parts, _ = m.step(X, None, training=False)
         assert parts["proj"] == pytest.approx(general, rel=1e-12)
 
-    def test_pretraining_step_forms_no_coefficient_matrix(self, rng, monkeypatch):
+    def test_no_step_forms_a_coefficient_matrix(self, rng, monkeypatch):
+        # taint what the ridge solve returns: W = M^{-1} Z^T in a step, P =
+        # M^{-1} B in the scorer's build, and every array computed from them
         m, X, y = _closed_form_case("k300", rng)
         n, k = X.shape
-        dual_solve, solve = caster.model._dual_solve, caster.model.cho_solve
+        refined, solve = caster.model._refined_solve, caster.model.cho_solve
         solves = []
 
-        def tainted_dual_solve(Z, B, lambda1):
-            W, factor = dual_solve(Z, B, lambda1)
-            return W.view(_Tainted), factor
+        def tainted_refined_solve(M, factor, Z):
+            return refined(M, factor, Z).view(_Tainted)
 
         def counted_solve(L, rhs):
             solves.append(rhs.shape)
             return solve(L, rhs)
 
-        monkeypatch.setattr(caster.model, "_dual_solve", tainted_dual_solve)
+        monkeypatch.setattr(caster.model, "_refined_solve", tainted_refined_solve)
         monkeypatch.setattr(caster.model, "cho_solve", counted_solve)
         for labels, expected_solves in ((None, 2), (y, 3)):
             _Tainted.shapes.clear()
             solves.clear()
             m.step(X, labels, training=True)
-            # the (n, k) coefficient matrix is formed, and differentiated
-            # through the solve, only when there are labels
-            assert ((n, k) in _Tainted.shapes) == (labels is not None)
+            assert _Tainted.shapes and (n, k) not in _Tainted.shapes
             assert len(solves) == expected_solves
+        m.scorer()
+        _Tainted.shapes.clear()
+        solves.clear()
+        m.predict_pairs(X)
+        assert _Tainted.shapes and (n, k) not in _Tainted.shapes
+        assert solves == []
+        # the check sees the (n, k) coefficients of the reference step
+        _Tainted.shapes.clear()
+        reference_step(m, X, y)
+        assert (n, k) in _Tainted.shapes
 
 
 def _toy_supervised(rng, n=240, k=12):
@@ -780,8 +799,10 @@ class TestScorer:
         np.testing.assert_array_equal(assert_matches_oracle(m, vocab, pairs, X), first)
         z = m.encode(X)
         B = m.dictionary_basis()
-        np.testing.assert_array_equal(m.project(z), ridge_coefficients(z, B, m.weights.lambda1))
-        np.testing.assert_array_equal(m.project(z[0]), ridge_coefficients(z[0], B, m.weights.lambda1))
+        for zs in (z, z[0]):
+            r = ridge_coefficients(zs, B, m.weights.lambda1)
+            assert m.project(zs).shape == r.shape
+            assert np.abs(m.project(zs) - r).max() <= 1e-12 * np.abs(r).max()
 
     def test_unchanged_model_builds_basis_once(self, monkeypatch):
         m, vocab, pairs, X = _scorer_case("k300", "float64")
@@ -804,7 +825,8 @@ class TestScorer:
     def test_scorer_is_read_only(self):
         m, _, _, _ = _scorer_case("toy", "float64")
         s = m.scorer()
-        for arr in (s.B, s.M, s.factor):
+        assert s.B.shape == s.P.shape == (3, 10)
+        for arr in (s.B, s.P):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from caster.nn import MLP, Adam, BatchNorm1d, Dense, Identity, relu, sigmoid, writing
+from caster.nn import MLP, Adam, BatchNorm1d, Dense, Identity, LowRank, relu, sigmoid, writing
 
 
 @pytest.fixture
@@ -156,6 +156,34 @@ class TestDense:
         with pytest.raises(ValueError):
             layer.forward(Identity(6))
 
+    @pytest.mark.parametrize("n, d, k", [(6, 3, 9), (2, 3, 9), (6, 1, 9), (6, 4, 3)])
+    def test_low_rank_input_matches_the_product(self, rng, n, d, k):
+        # the rank-d path against the layer applied to the materialised U @ V
+        layer = Dense(k, 5, rng)
+        layer.b[...] = rng.normal(size=5)
+        U, V = rng.normal(size=(n, d)), rng.normal(size=(d, k))
+        x = LowRank(U, V)
+        assert x.shape == (n, k)
+        grad_out = rng.normal(size=(n, 5))
+        (grad_U, grad_V), grad_W, grad_b = layer.backward(x, grad_out)
+        grad_X, oracle_W, oracle_b = layer.backward(U @ V, grad_out)
+        pairs = [
+            (layer.forward(x), layer.forward(U @ V)),
+            (grad_W, oracle_W),
+            (grad_b, oracle_b),
+            (grad_U, grad_X @ V.T),
+            (grad_V, U.T @ grad_X),
+        ]
+        for got, oracle in pairs:
+            assert got.shape == oracle.shape
+            assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
+        skipped, skipped_W, skipped_b = layer.backward(x, grad_out, input_grad=False)
+        assert skipped is None
+        np.testing.assert_array_equal(skipped_W, grad_W)
+        np.testing.assert_array_equal(skipped_b, grad_b)
+        with pytest.raises(ValueError):
+            Dense(k + 1, 5, rng).forward(x)
+
     def test_glorot_bounds_and_determinism(self):
         a = Dense(40, 30, np.random.default_rng(5))
         b = Dense(40, 30, np.random.default_rng(5))
@@ -234,6 +262,26 @@ class TestMLP:
 
         report = gradient_check(loss_fn, params, tolerance=1e-4, step=1e-5)
         assert report.passed, f"max rel err {report.max_rel_error} at {report.worst_param}"
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_backward_through_low_rank_input(self, rng, training):
+        # the input's two factors are checked as parameters of the loss
+        mlp = MLP(7, (8, 6), 2, rng, batchnorm=True, name="net")
+        for _ in range(3):
+            mlp.forward(rng.normal(size=(16, 7)), training=True)
+        U, V = rng.normal(size=(9, 3)), rng.normal(size=(3, 7))
+        target = rng.normal(size=(9, 2))
+        params = {**mlp.parameters(), "U": U, "V": V}
+
+        def loss_fn():
+            out, caches = mlp.forward(LowRank(U, V), training=training)
+            diff = out - target
+            (grad_U, grad_V), grads = mlp.backward(caches, diff)
+            return 0.5 * float((diff**2).sum()), {**grads, "U": grad_U, "V": grad_V}
+
+        report = gradient_check(loss_fn, params, tolerance=1e-4, step=1e-5)
+        assert report.passed, f"max rel err {report.max_rel_error} at {report.worst_param}"
+        assert {"U", "V"} <= report.per_param.keys()
 
     @pytest.mark.parametrize("hidden", [(), (8, 6)])
     def test_backward_without_input_gradient(self, rng, hidden):
