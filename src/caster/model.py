@@ -203,33 +203,30 @@ def ridge_coefficients(z: np.ndarray, B: np.ndarray, lambda1: float) -> np.ndarr
     return R[0] if single else R
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class Scorer:
     """What predicting and explaining read of an encoder, frozen.
 
-    Holds the key it was built for, (encoder generation, lambda1), the
-    dictionary basis B and P = M^{-1} B with M = B B^T + lambda1 I, both
-    d x k and read-only.  The ridge coefficients of latent vectors Z are
-    Z P, so no call after the build solves anything: `predict_pairs` feeds
-    the predictor LowRank(Z, magnifier P), and `explain_pair` computes
-    only the columns of P it ranks.  The predictor is not part of it; it
+    Holds the key it was built for, (encoder generation, lambda1), and
+    P = M^{-1} B, d x k and read-only, where B is the dictionary basis and
+    M = B B^T + lambda1 I; neither outlives the build.  The ridge
+    coefficients of latent vectors Z are Z P, so no call after the build
+    solves anything: `predict_pairs` feeds the predictor
+    LowRank(Z, magnifier P), and `explain_pair` computes only the columns
+    of P it ranks.  The predictor is not part of it; it
     is read live on every call.  Get one from `CasterModel.scorer()`,
     which rebuilds it whenever the key has changed.
     """
 
     key: tuple[int, float]
-    B: np.ndarray
     P: np.ndarray
 
     @classmethod
     def build(cls, key: tuple[int, float], B: np.ndarray) -> "Scorer":
         M = _gram(B, key[1])
-        return cls(key, _frozen(B), _frozen(_refined_solve(M, cho_factor(M), B.T)))
+        P = _refined_solve(M, cho_factor(M), B.T)
+        P.setflags(write=False)
+        return cls(key, P)
 
 
 # ---------------------------------------------------------------------------

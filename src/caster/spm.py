@@ -15,15 +15,18 @@ Conventions (fixed so results are reproducible across platforms):
 * ties on the maximum count are broken by the lexicographically smallest
   (left, right) pair.
 
-Both hot paths are exact shortcuts of the plain algorithms (details in
-`mine_vocabulary` and `segment`):
+Both hot paths keep the sequence as linked symbols, as SentencePiece's
+BPE encoder does, and are exact shortcuts of the plain algorithms
+(details in `mine_vocabulary` and `segment`):
 
-* the miner updates pair counts only around each merge site and takes
-  the best pair from a lazy max-heap instead of scanning every count;
-* the segmenter keeps the sequence as a linked list of symbols and takes
-  the next merge from a min-heap of (rank, position), the symbol-pair
-  agenda of SentencePiece's BPE encoder.  A merge re-ranks only the two
-  pairs next to it, and no pair goes back to a rank the walk has passed.
+* the miner links every string's symbols in one array, with no link
+  across a string boundary, and indexes each pair by the positions of its
+  left symbols.  A merge visits only those positions, updates the counts
+  from their neighbours, and takes the best pair from a lazy max-heap
+  instead of scanning every count;
+* the segmenter takes the next merge from a min-heap of (rank,
+  position).  A merge re-ranks only the two pairs next to it, and no
+  pair goes back to a rank the walk has passed.
 """
 
 from __future__ import annotations
@@ -66,10 +69,10 @@ class Vocabulary:
 
     `substructures` is an ordered list of (token, frequency) pairs; its
     order defines the feature index of each substructure and is preserved
-    by the file round-trip.
+    by the file round-trip.  Construction refuses what mining cannot
+    produce.
     """
 
-    base_tokens: frozenset[str]
     merges: list[MergeRule]
     substructures: list[tuple[str, int]]
     eta: int
@@ -80,6 +83,7 @@ class Vocabulary:
     )
 
     def __post_init__(self):
+        _check_thresholds(self.eta, self.ell)
         if not self.substructures:
             raise VocabularyError("vocabulary has no substructures (k = 0)")
         if len(self.merges) > self.ell:
@@ -90,6 +94,11 @@ class Vocabulary:
             if rule.frequency_at_merge < self.eta:
                 raise VocabularyError(
                     f"merge {rule.merged!r} was below the eta={self.eta} threshold"
+                )
+        for tok, freq in self.substructures:
+            if freq < self.eta:
+                raise VocabularyError(
+                    f"substructure {tok!r} has frequency {freq}, below the eta={self.eta} threshold"
                 )
         self._index = {tok: i for i, (tok, _) in enumerate(self.substructures)}
         if len(self._index) != len(self.substructures):
@@ -138,9 +147,9 @@ class Vocabulary:
     @classmethod
     def from_text(cls, text: str) -> "Vocabulary":
         lines = text.splitlines()
-        if not lines or not lines[0].startswith(VOCAB_MAGIC):
+        header = lines[0].split() if lines else []
+        if header[:2] != VOCAB_MAGIC.split():
             raise VocabularyError(f"missing {VOCAB_MAGIC!r} header")
-        header = lines[0].split()
         try:
             eta = int(header[2].removeprefix("eta="))
             ell = int(header[3].removeprefix("ell="))
@@ -164,12 +173,7 @@ class Vocabulary:
                 raise VocabularyError(f"line {i + 1}: expected substructure<TAB>freq")
             substructures.append((parts[0], _frequency(parts[1], i)))
             i += 1
-
-        # The file format does not carry base tokens; reconstruct the
-        # derivable part (enough for segmentation and featurization).
-        merged_names = {r.merged for r in merges}
-        base = {t for r in merges for t in (r.left, r.right)} | {t for t, _ in substructures}
-        return cls(frozenset(base - merged_names), merges, substructures, eta, ell)
+        return cls(merges, substructures, eta, ell)
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
@@ -184,39 +188,18 @@ class Vocabulary:
             raise VocabularyError(f"{path}: {err}") from None
 
 
+def _check_thresholds(eta: int, ell: int) -> None:
+    if eta < 1:
+        raise VocabularyError(f"eta must be >= 1, got {eta}")
+    if ell < 0:
+        raise VocabularyError(f"ell must be >= 0, got {ell}")
+
+
 def _frequency(text: str, i: int) -> int:
     try:
         return int(text)
     except ValueError:
         raise VocabularyError(f"line {i + 1}: frequency {text!r} is not an integer") from None
-
-
-def _replace_pair(
-    tokens: list[str], left: str, right: str, merged: str
-) -> tuple[list[str], list[int]]:
-    """Greedy left-to-right, non-overlapping replacement of one pair.
-
-    Returns the new token list and the start index in `tokens` of every
-    replaced occurrence, in order.
-    """
-    out: list[str] = []
-    sites: list[int] = []
-    last = len(tokens) - 1
-    start = i = 0
-    try:
-        while True:
-            i = tokens.index(left, i)
-            if i < last and tokens[i + 1] == right:
-                out += tokens[start:i]
-                out.append(merged)
-                sites.append(i)
-                i = start = i + 2
-            else:
-                i += 1
-    except ValueError:  # no further `left`
-        pass
-    out += tokens[start:]
-    return out, sites
 
 
 def mine_vocabulary(
@@ -230,14 +213,19 @@ def mine_vocabulary(
     `eta`, up to `ell` merges (default 30,000).  The result is exactly what
     a full rescan after every merge would produce:
 
-    * a merge rewrites only the strings listed under its pair and updates
-      the counts locally.  It subtracts the old pairs that start at i-1, i
-      and i+1 of each merge site i, and adds the new pairs that start at
-      j-1 and j of each merged token j, once where two sites are
-      adjacent.  Every other pair of the string maps one-to-one onto a
-      pair of the rewritten string, so the counts stay exact.  A string
-      stays listed under a pair it has lost; its rewrite then finds no
-      site and changes nothing;
+    * every string's symbols sit in one array, each string in a run of
+      consecutive positions, linked to their neighbours with no link
+      across a string boundary.  `where` lists, under each pair, the
+      positions of left symbols that have spelled it;
+    * a merge visits its pair's positions in ascending order, so it is
+      greedy left to right within each string, and skips a position whose
+      two symbols no longer spell the pair.  Symbols only grow, so a pair
+      never comes back to a position that has lost it, and left+right is
+      longer than both parts, so a merge makes no new site of its own
+      pair;
+    * each site subtracts the pairs it breaks and adds the pairs it makes
+      with its current neighbours.  Where two sites touch, the pair added
+      by the first is subtracted by the second, so the counts stay exact;
     * the best pair comes from a lazy max-heap of (-count, pair).  A pair
       is pushed when its count rises.  A popped entry whose count has
       since fallen is pushed again with its current count, and one whose
@@ -250,22 +238,28 @@ def mine_vocabulary(
     """
     if not corpus:
         raise VocabularyError("empty corpus")
-    if eta < 1:
-        raise VocabularyError(f"eta must be >= 1, got {eta}")
     if ell is None:
         ell = DEFAULT_MAX_MERGES
-    if ell < 0:
-        raise VocabularyError(f"ell must be >= 0, got {ell}")
+    _check_thresholds(eta, ell)
 
-    work = [list(seq) for seq in corpus]
-    base_tokens = frozenset(tok for seq in work for tok in seq)
+    seq: list[str | None] = [tok for tokens in corpus for tok in tokens]
+    n = len(seq)
+    nxt = list(range(1, n + 1))  # n: no next symbol
+    prv = list(range(-1, n - 1))  # -1: no previous symbol
+    end = 0
+    for tokens in corpus:
+        if tokens:
+            prv[end] = -1
+            end += len(tokens)
+            nxt[end - 1] = n
 
     counts: dict[tuple[str, str], int] = {}
-    where: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
-    for si, seq in enumerate(work):
-        for pair in zip(seq, seq[1:]):
+    where: defaultdict[tuple[str, str], list[int]] = defaultdict(list)
+    for i, j in enumerate(nxt):
+        if j < n:
+            pair = (seq[i], seq[j])
             counts[pair] = counts.get(pair, 0) + 1
-            where[pair].add(si)
+            where[pair].append(i)
     heap = [(-c, pair) for pair, c in counts.items()]
     heapq.heapify(heap)
 
@@ -286,30 +280,30 @@ def mine_vocabulary(
         merged = left + right
 
         delta: dict[tuple[str, str], int] = {}
-        for si in where.pop(pair):
-            old = work[si]
-            new, sites = _replace_pair(old, left, right, merged)
-            if not sites:
-                continue
-            n = len(old)
-            prev = -2
-            for k, i in enumerate(sites):
-                j = i - k  # index of this merged token in `new`
-                if i and i != prev + 2:  # token i-1 was not merged by the previous site
-                    p = (old[i - 1], left)
-                    delta[p] = delta.get(p, 0) - 1
-                    p = (new[j - 1], merged)
-                    delta[p] = delta.get(p, 0) + 1
-                    where[p].add(si)
-                if i + 2 < n:
-                    p = (right, old[i + 2])
-                    delta[p] = delta.get(p, 0) - 1
-                    p = (merged, new[j + 1])
-                    delta[p] = delta.get(p, 0) + 1
-                    where[p].add(si)
-                prev = i
-            delta[pair] = delta.get(pair, 0) - len(sites)
-            work[si] = new
+        sites = 0
+        for i in sorted(where.pop(pair)):
+            j = nxt[i]  # while seq[i] is still `left`, the symbol it was listed with
+            if seq[i] != left or seq[j] != right:
+                continue  # stale: a merge has changed this pair since it was listed
+            seq[i] = merged
+            seq[j] = None  # merged into i
+            k = nxt[i] = nxt[j]
+            if k < n:
+                prv[k] = i
+                p = (right, seq[k])
+                delta[p] = delta.get(p, 0) - 1
+                p = (merged, seq[k])
+                delta[p] = delta.get(p, 0) + 1
+                where[p].append(i)
+            h = prv[i]
+            if h >= 0:
+                p = (seq[h], left)
+                delta[p] = delta.get(p, 0) - 1
+                p = (seq[h], merged)
+                delta[p] = delta.get(p, 0) + 1
+                where[p].append(h)
+            sites += 1
+        delta[pair] = delta.get(pair, 0) - sites
 
         for p, d in delta.items():
             c = counts.get(p, 0) + d
@@ -321,7 +315,7 @@ def mine_vocabulary(
                 counts.pop(p, None)
         merges.append(MergeRule(left, right, merged, len(merges), count))
 
-    freq = Counter(tok for seq in work for tok in seq)
+    freq = Counter(tok for tok in seq if tok is not None)
     substructures = sorted(
         ((tok, c) for tok, c in freq.items() if c >= eta),
         key=lambda tc: (-tc[1], tc[0]),
@@ -330,7 +324,7 @@ def mine_vocabulary(
         raise VocabularyError(
             f"no token reaches frequency threshold eta={eta}; lower eta or grow the corpus"
         )
-    return Vocabulary(base_tokens, merges, substructures, eta, ell)
+    return Vocabulary(merges, substructures, eta, ell)
 
 
 def segment(tokens: list[str], vocab: Vocabulary) -> list[str]:

@@ -52,7 +52,7 @@ def test_scoring_callables_are_span_targets(perfbench):
 def test_traced_explain_builds_the_basis_only_for_a_new_encoder(perfbench):
     spans, _ = perfbench
     atoms = [f"[C{i}]" for i in range(12)]
-    vocab = Vocabulary(frozenset(atoms), [], [(a, 1) for a in atoms], eta=1, ell=0)
+    vocab = Vocabulary([], [(a, 1) for a in atoms], eta=1, ell=0)
     left, right = "".join(atoms[:5]), "".join(atoms[3:9])
     config = ModelConfig(latent_dim=3, encoder_hidden=(8,), decoder_hidden=(8,), predictor_hidden=(8,))
     fresh, scored = CasterModel(12, config, seed=0), CasterModel(12, config, seed=1)

@@ -16,7 +16,6 @@ from caster.spm import MergeRule, Vocabulary, segment
 def vocab():
     # substructures ["CC", "O", "N"], one merge rule C+C
     return Vocabulary(
-        frozenset("CON"),
         [MergeRule("C", "C", "CC", 0, 5)],
         [("CC", 5), ("O", 3), ("N", 2)],
         eta=1,

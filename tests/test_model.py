@@ -714,7 +714,6 @@ class TestSplits:
 @pytest.fixture
 def small_vocab():
     return Vocabulary(
-        frozenset("CON"),
         [MergeRule("C", "C", "CC", 0, 9)],
         [("CC", 9), ("O", 5), ("N", 4), ("S", 2)],
         eta=1,
@@ -761,7 +760,7 @@ def _scorer_case(size, dtype, seed=6):
         m = tiny_model(k=300, d=8, encoder_hidden=(64, 32), seed=seed)
     assert {a.dtype for a in m.state_arrays().values()} == {np.dtype(dtype)}
     atoms = [f"[C{i}]" for i in range(m.k)]
-    vocab = Vocabulary(frozenset(atoms), [], [(a, 1) for a in atoms], eta=1, ell=0)
+    vocab = Vocabulary([], [(a, 1) for a in atoms], eta=1, ell=0)
     rng = np.random.default_rng(seed)
     examples = []
     for _ in range(12):
@@ -825,10 +824,9 @@ class TestScorer:
     def test_scorer_is_read_only(self):
         m, _, _, _ = _scorer_case("toy", "float64")
         s = m.scorer()
-        assert s.B.shape == s.P.shape == (3, 10)
-        for arr in (s.B, s.P):
-            with pytest.raises(ValueError):
-                arr[(0,) * arr.ndim] = 1.0
+        assert s.P.shape == (3, 10)
+        with pytest.raises(ValueError):
+            s.P[0, 0] = 1.0
 
     def _changed(self, change, dtype):
         """Score once, apply `change` to the model, and check that the output

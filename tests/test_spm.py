@@ -4,7 +4,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from caster.cli import main
 from caster.corpus import atom_tokenize, load_smiles_corpus
@@ -74,6 +74,10 @@ colliding_corpora = st.lists(
     st.lists(st.sampled_from(COLLIDING), min_size=1, max_size=12), min_size=1, max_size=6
 ).flatmap(lambda distinct: st.lists(st.sampled_from(distinct), min_size=1, max_size=20))
 
+# Strings of zero to three tokens, so that most neighbouring tokens of the
+# corpus lie across a string boundary, where no pair may be counted.
+boundary_corpora = st.lists(st.lists(st.sampled_from(COLLIDING), max_size=3), min_size=1, max_size=30)
+
 # Mined at eta=2: (ab, c) is merged at ranks 0 and 2.
 REPEATED_PAIR_CORPUS = [["ab", "c"]] * 6 + [["a", "b", "c"]] * 3 + [["a", "b"]] * 2
 
@@ -128,8 +132,11 @@ class TestMineVocabulary:
             assert [(m.left, m.right, m.frequency_at_merge, m.rank) for m in vocab.merges] == merges
             assert vocab.substructures == subs
 
-    @settings(max_examples=300, deadline=None)
-    @given(colliding_corpora, st.integers(1, 6), st.integers(0, 25))
+    @settings(max_examples=400, deadline=None)
+    @given(colliding_corpora | boundary_corpora, st.integers(1, 6), st.integers(0, 25))
+    @example([["A"], ["B"]] * 5, 1, 25)  # every (A, B) and (B, A) spans two strings
+    @example([[], ["A", "B"], [], ["A"], ["B", "A"], ["B"], []] * 3, 1, 25)
+    @example([["A", "A"], ["A"], [], ["A", "A", "A"], ["A"]] * 2, 2, 25)
     def test_matches_naive_simulator_on_colliding_tokens(self, corpus, eta, ell):
         merges, subs, _ = naive_miner(corpus, eta, ell)
         if not subs:
@@ -166,7 +173,7 @@ class TestMineVocabulary:
 class TestSegment:
     def _vocab(self, merges, subs=(("CC", 2),), eta=1, ell=100):
         rules = [MergeRule(l, r, l + r, i, 99) for i, (l, r) in enumerate(merges)]
-        return Vocabulary(frozenset("CON"), rules, list(subs), eta, ell)
+        return Vocabulary(rules, list(subs), eta, ell)
 
     def test_single_rule(self):
         vocab = self._vocab([("C", "C")])
@@ -228,14 +235,14 @@ class TestSegment:
     )
     def test_matches_rule_walk_on_hand_built_rules(self, merge_pairs, probes):
         rules = [MergeRule(l, r, l + r, i, 1) for i, (l, r) in enumerate(merge_pairs)]
-        vocab = Vocabulary(frozenset(COLLIDING), rules, [("A", 1)], 1, 100)
+        vocab = Vocabulary(rules, [("A", 1)], 1, 100)
         # each product spelled out letter by letter meets the rules that built it
         for tokens in probes + [list(rule.merged) for rule in rules]:
             assert segment(tokens, vocab) == reference_segment(tokens, vocab)
 
     @settings(max_examples=200, deadline=None)
     @given(
-        colliding_corpora,
+        colliding_corpora | boundary_corpora,
         st.integers(1, 4),
         st.lists(st.lists(st.sampled_from(COLLIDING), min_size=2, max_size=20), max_size=5),
     )
@@ -260,7 +267,7 @@ class TestSegment:
         # against the walk, on rules whose products are base tokens or
         # rebuild pairs the walk has passed, with pairs repeated across ranks
         rules = [MergeRule(l, r, l + r, i, 1) for i, (l, r) in enumerate(merge_pairs)]
-        vocab = Vocabulary(frozenset(COLLIDING), rules, [("A", 1)], 1, 100)
+        vocab = Vocabulary(rules, [("A", 1)], 1, 100)
         for tokens in probes:
             for seq in (tokens, list("".join(tokens))):
                 assert segment(seq, vocab) == reference_segment(seq, vocab)
@@ -271,7 +278,7 @@ class TestSegment:
     )
     def test_lossless(self, tokens, merge_pairs):
         rules = [MergeRule(l, r, l + r, i, 1) for i, (l, r) in enumerate(merge_pairs)]
-        vocab = Vocabulary(frozenset("ABC"), rules, [("A", 1)], 1, 100)
+        vocab = Vocabulary(rules, [("A", 1)], 1, 100)
         assert "".join(segment(tokens, vocab)) == "".join(tokens)
 
 
@@ -320,6 +327,27 @@ class TestVocabularyFile:
         path = tmp_path / "vocab.txt"
         path.write_bytes(text.replace(b"\n\n", b"\n\xff\n", 1))  # line 3: the separator
         with pytest.raises(VocabularyError, match=f"^{re.escape(str(path))}: line 3: invalid UTF-8 byte 0xff$"):
+            Vocabulary.load(path)
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("spm-vocab v1 eta=0 ell=10\n\nC\t3\n", "eta must be >= 1, got 0", id="eta-0"),
+        pytest.param("spm-vocab v1 eta=1 ell=-1\n\nC\t3\n", "ell must be >= 0, got -1", id="ell-negative"),
+        pytest.param(
+            "spm-vocab v1 eta=5 ell=10\n\nC\t9\nO\t2\n",
+            "substructure 'O' has frequency 2, below the eta=5 threshold",
+            id="frequency-below-eta",
+        ),
+        pytest.param(
+            "spm-vocab v1 eta=5 ell=10\n\nC\t-3\n",
+            "substructure 'C' has frequency -3, below the eta=5 threshold",
+            id="frequency-negative",
+        ),
+        pytest.param("spm-vocab v17 eta=1 ell=10\n\nC\t3\n", "missing 'spm-vocab v1' header", id="version-v17"),
+    ])
+    def test_refuses_what_mining_cannot_produce(self, tmp_path, text, message):
+        path = tmp_path / "vocab.txt"
+        path.write_text(text)
+        with pytest.raises(VocabularyError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
             Vocabulary.load(path)
 
     def test_substructure_order_is_index_order(self):
@@ -403,14 +431,14 @@ class TestVocabularyInvariants:
     def test_merge_budget_enforced(self):
         rules = [MergeRule("C", "C", "CC", 0, 5), MergeRule("CC", "C", "CCC", 1, 5)]
         with pytest.raises(VocabularyError, match="budget"):
-            Vocabulary(frozenset("C"), rules, [("CC", 5)], eta=1, ell=1)
+            Vocabulary(rules, [("CC", 5)], eta=1, ell=1)
 
     def test_threshold_enforced(self):
         rules = [MergeRule("C", "C", "CC", 0, 3)]
         with pytest.raises(VocabularyError, match="threshold"):
-            Vocabulary(frozenset("C"), rules, [("CC", 5)], eta=4, ell=10)
+            Vocabulary(rules, [("CC", 5)], eta=4, ell=10)
 
     def test_rank_order_enforced(self):
         rules = [MergeRule("C", "C", "CC", 1, 5)]
         with pytest.raises(VocabularyError, match="consecutive"):
-            Vocabulary(frozenset("C"), rules, [("CC", 5)], eta=1, ell=10)
+            Vocabulary(rules, [("CC", 5)], eta=1, ell=10)
