@@ -100,6 +100,14 @@ class LowRank:
         self.U = U
         self.V = V
         self.shape = (U.shape[0], V.shape[1])
+        self._VWt = (None, None)
+
+    def times(self, W: np.ndarray) -> np.ndarray:
+        """V @ W^T, formed on the first call for the weight array W, so a
+        layer's forward and backward passes share one product."""
+        if self._VWt[0] is not W:
+            self._VWt = (W, self.V @ W.T)
+        return self._VWt[1]
 
 
 class Dense:
@@ -128,7 +136,7 @@ class Dense:
         if isinstance(x, Identity):
             return np.add(self.W.T, self.b, order="C")
         if isinstance(x, LowRank):
-            return x.U @ (x.V @ self.W.T) + self.b
+            return x.U @ x.times(self.W) + self.b
         return x @ self.W.T + self.b
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray, input_grad: bool = True):
@@ -140,7 +148,7 @@ class Dense:
         if grad_out.shape != (x.shape[0], self.out_dim):
             raise ValueError(f"upstream gradient shape {grad_out.shape} does not match output")
         if isinstance(x, LowRank):
-            grad_x = (grad_out @ (self.W @ x.V.T), (x.U.T @ grad_out) @ self.W) if input_grad else None
+            grad_x = (grad_out @ x.times(self.W).T, (x.U.T @ grad_out) @ self.W) if input_grad else None
             grad_W = (grad_out.T @ x.U) @ x.V
         else:
             grad_x = grad_out @ self.W if input_grad else None
@@ -292,13 +300,18 @@ class MLP:
 
 class Adam:
     """Bias-corrected Adam over a dict of named parameter arrays, updated in
-    place through `writing`."""
+    place through `writing`.  The parameters must be C-contiguous."""
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
+    # elements per slice of an update: its operands and scratch stay in cache
+    block = 1 << 15
 
     def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-3):
+        for name, p in params.items():
+            if not p.flags.c_contiguous:
+                raise ValueError(f"Adam updates C-contiguous parameters in place; {name!r} is not")
         self.params = params
         self.lr = lr
         self.step_count = 0
@@ -312,37 +325,43 @@ class Adam:
             v += (1 - beta2) * (g * g - v)
             p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
 
-        evaluated in the same order, into two scratch arrays shared by all
-        parameters.  The scratch is freed on return: kept between steps, it
-        would add to the memory peak of the next training step.
+        evaluated in the same order, one slice of `block` elements at a
+        time, into two block-sized scratch arrays.  The scratch is freed on
+        return: kept between steps, it would add to the memory peak of the
+        next training step.  A non-contiguous gradient is copied once.
         """
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        size = max((g.size for g in grads.values()), default=0)
+        size = min(self.block, max((g.size for g in grads.values()), default=0))
         scratch = (np.empty(size), np.empty(size))
 
         with writing(self.params):
             for name, g in grads.items():
-                p = self.params[name]
-                m = self.m[name]
-                v = self.v[name]
-                a, b = (buf[: p.size].reshape(p.shape) for buf in scratch)
-                np.subtract(g, m, out=a)
-                np.multiply(1.0 - self.beta1, a, out=a)
-                m += a
-                np.multiply(g, g, out=a)
-                np.subtract(a, v, out=a)
-                np.multiply(1.0 - self.beta2, a, out=a)
-                v += a
-                np.divide(m, bc1, out=a)
-                np.multiply(self.lr, a, out=a)
-                np.divide(v, bc2, out=b)
-                np.sqrt(b, out=b)
-                np.add(b, self.eps, out=b)
-                np.divide(a, b, out=a)
-                p -= a
+                # flat views, taken here: a view taken outside `writing` stays read-only
+                p = self.params[name].reshape(-1)
+                m = self.m[name].reshape(-1)
+                v = self.v[name].reshape(-1)
+                g = np.ascontiguousarray(g).reshape(-1)
+                for lo in range(0, p.size, self.block):
+                    hi = min(lo + self.block, p.size)
+                    gs, ms, vs = g[lo:hi], m[lo:hi], v[lo:hi]
+                    a, b = scratch[0][: hi - lo], scratch[1][: hi - lo]
+                    np.subtract(gs, ms, out=a)
+                    np.multiply(1.0 - self.beta1, a, out=a)
+                    ms += a
+                    np.multiply(gs, gs, out=a)
+                    np.subtract(a, vs, out=a)
+                    np.multiply(1.0 - self.beta2, a, out=a)
+                    vs += a
+                    np.divide(ms, bc1, out=a)
+                    np.multiply(self.lr, a, out=a)
+                    np.divide(vs, bc2, out=b)
+                    np.sqrt(b, out=b)
+                    np.add(b, self.eps, out=b)
+                    np.divide(a, b, out=a)
+                    p[lo:hi] -= a
 
 
 def merge_grads(*grad_dicts: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

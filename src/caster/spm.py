@@ -151,10 +151,13 @@ class Vocabulary:
         if header[:2] != VOCAB_MAGIC.split():
             raise VocabularyError(f"missing {VOCAB_MAGIC!r} header")
         try:
-            eta = int(header[2].removeprefix("eta="))
-            ell = int(header[3].removeprefix("ell="))
-        except (IndexError, ValueError) as err:
-            raise VocabularyError(f"malformed header {lines[0]!r}") from err
+            if len(header) != 4 or header[2][:4] != "eta=" or header[3][:4] != "ell=":
+                raise ValueError
+            eta, ell = int(header[2][4:]), int(header[3][4:])
+        except ValueError:
+            raise VocabularyError(
+                f"malformed header {lines[0]!r}; expected '{VOCAB_MAGIC} eta=<int> ell=<int>'"
+            ) from None
 
         merges: list[MergeRule] = []
         i = 1
@@ -173,6 +176,9 @@ class Vocabulary:
                 raise VocabularyError(f"line {i + 1}: expected substructure<TAB>freq")
             substructures.append((parts[0], _frequency(parts[1], i)))
             i += 1
+        for j in range(i, len(lines)):
+            if lines[j].strip():
+                raise VocabularyError(f"line {j + 1}: unexpected {lines[j]!r} after the substructure section")
         return cls(merges, substructures, eta, ell)
 
     @classmethod

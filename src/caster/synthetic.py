@@ -22,10 +22,16 @@ _ATOMS = ["C", "N", "O", "S", "P", "F", "I", "Cl", "Br", "c", "n", "s", "B", "[S
 _ATOM_WEIGHTS = np.array([2.0, 1.2, 1.2, 1.0, 0.8, 0.8, 0.6, 0.8, 0.8, 1.0, 0.8, 0.6, 0.6, 0.5, 0.5, 0.5])
 _BONDS = ["=", "#"]
 
+# The atom CDF, built as `Generator.choice(p=...)` builds it, so a draw
+# through it returns what `choice` would for the same generator state.
+_ATOM_CDF = (_ATOM_WEIGHTS / _ATOM_WEIGHTS.sum()).cumsum()
+_ATOM_CDF /= _ATOM_CDF[-1]
+_ATOM_CDF.flags.writeable = False
+
 
 def _draw_atom(rng: np.random.Generator) -> str:
-    weights = _ATOM_WEIGHTS / _ATOM_WEIGHTS.sum()
-    return _ATOMS[int(rng.choice(len(_ATOMS), p=weights))]
+    """One weighted atom from one `rng.random()` double."""
+    return _ATOMS[int(_ATOM_CDF.searchsorted(rng.random(), side="right"))]
 
 
 def _fragment_library(rng: np.random.Generator, n_fragments: int, length: int = 3) -> list[str]:

@@ -184,6 +184,19 @@ class TestDense:
         with pytest.raises(ValueError):
             Dense(k + 1, 5, rng).forward(x)
 
+    def test_low_rank_backward_reuses_the_forward_product(self, rng):
+        # V @ W^T is formed once per input and weight array; no (n, k) array
+        layer = Dense(9, 5, rng)
+        x = LowRank(rng.normal(size=(6, 3)), rng.normal(size=(3, 9)))
+        out = layer.forward(x)
+        product = x.times(layer.W)
+        assert product.shape == (3, 5)
+        layer.backward(x, np.ones_like(out))
+        assert x.times(layer.W) is product
+        other = Dense(9, 5, rng)
+        assert x.times(other.W) is not product
+        np.testing.assert_array_equal(x.times(other.W), x.V @ other.W.T)
+
     def test_glorot_bounds_and_determinism(self):
         a = Dense(40, 30, np.random.default_rng(5))
         b = Dense(40, 30, np.random.default_rng(5))
@@ -336,6 +349,40 @@ class TestAdam:
             adam.step({"w": np.array([g])})
             expected = 1.0 - 0.05 * g / (abs(g) + 1e-8)
             assert params["w"][0] == pytest.approx(expected, rel=1e-12)
+
+    def test_blocks_match_the_textbook_formula(self, rng):
+        # 3 * 2**15 + 7 = 17 * 5783 elements: three full blocks and a partial
+        # one; read-only like an MLP's arrays, with a transposed-view gradient
+        shape = (17, 5783)
+        assert shape[0] * shape[1] == 3 * Adam.block + 7
+        params = {"w": rng.normal(size=shape), "b": rng.normal(size=5)}
+        for a in params.values():
+            a.flags.writeable = False
+        ref = {name: a.copy() for name, a in params.items()}
+        ref_m = {name: np.zeros_like(a) for name, a in ref.items()}
+        ref_v = {name: np.zeros_like(a) for name, a in ref.items()}
+        adam = Adam(params, lr=1e-2)
+        b1, b2, lr, eps = adam.beta1, adam.beta2, adam.lr, adam.eps
+        for t in range(1, 6):
+            grads = {"w": rng.normal(size=shape[::-1]).T, "b": rng.normal(size=5)}
+            assert not grads["w"].flags.c_contiguous
+            adam.step(grads)
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for name, g in grads.items():
+                p, mo, v = ref[name], ref_m[name], ref_v[name]
+                mo += (1.0 - b1) * (g - mo)
+                v += (1.0 - b2) * (g * g - v)
+                p -= lr * (mo / bc1) / (np.sqrt(v / bc2) + eps)
+        for name in ref:
+            np.testing.assert_array_equal(params[name], ref[name], err_msg=name)
+            np.testing.assert_array_equal(adam.m[name], ref_m[name], err_msg=name)
+            np.testing.assert_array_equal(adam.v[name], ref_v[name], err_msg=name)
+            assert not params[name].flags.writeable
+
+    def test_non_contiguous_parameter_refused(self, rng):
+        # its flat view would be a copy, and the update would be lost
+        with pytest.raises(ValueError, match="'w' is not"):
+            Adam({"b": np.zeros(3), "w": rng.normal(size=(6, 4)).T})
 
 
 class TestGradientCheck:

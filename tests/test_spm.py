@@ -343,6 +343,16 @@ class TestVocabularyFile:
             id="frequency-negative",
         ),
         pytest.param("spm-vocab v17 eta=1 ell=10\n\nC\t3\n", "missing 'spm-vocab v1' header", id="version-v17"),
+        pytest.param(
+            "spm-vocab v1 2 30 junk\n\nC\t3\n",
+            "malformed header 'spm-vocab v1 2 30 junk'; expected 'spm-vocab v1 eta=<int> ell=<int>'",
+            id="header-without-names",
+        ),
+        pytest.param(
+            "spm-vocab v1 eta=1 ell=5\n\nC\t3\n\nO\t1\n",
+            "line 5: unexpected 'O\\t1' after the substructure section",
+            id="line-after-substructures",
+        ),
     ])
     def test_refuses_what_mining_cannot_produce(self, tmp_path, text, message):
         path = tmp_path / "vocab.txt"
