@@ -14,7 +14,6 @@ from .corpus import (
     atom_tokenize,
     load_pair_corpus,
     load_smiles_corpus,
-    sample_negative_pairs,
 )
 from .featurize import (
     featurize_pairs,
@@ -48,7 +47,6 @@ __all__ = [
     "atom_tokenize",
     "load_pair_corpus",
     "load_smiles_corpus",
-    "sample_negative_pairs",
     "MergeRule",
     "Vocabulary",
     "mine_vocabulary",

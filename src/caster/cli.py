@@ -22,20 +22,21 @@ from . import model as model_mod
 from . import metrics
 from .corpus import (
     CorpusFormatError,
+    PairExample,
     SmilesParseError,
     atom_tokenize,
     load_pair_corpus,
     load_smiles_corpus,
     undecodable,
 )
-from .featurize import featurize_pairs, functional_representation
+from .featurize import index_rows
 from .model import (
     CasterModel,
     LossWeights,
     ModelConfig,
     TrainingConfig,
     TrainingError,
-    _explain_vector,
+    _explain_row,
     load_checkpoint,
     save_checkpoint,
 )
@@ -311,10 +312,10 @@ def cmd_predict(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     model = load_checkpoint(args.checkpoint, vocab=vocab)
     corpus = load_pair_corpus(args.pairs, "unlabelled")
-    X, _ = featurize_pairs(corpus, vocab)
-    probs = model.predict_pairs(X)
+    probs = model.predict_pairs(index_rows(corpus, vocab))
     with open(args.out, "w", encoding="utf-8") as fh:
-        for pair_id, p in enumerate(probs):
+        # a pair's id is its data row in the input, so a skipped row leaves a gap
+        for pair_id, p in zip(corpus.rows, probs):
             fh.write(f"{pair_id}\t{p:.6f}\n")
     print(f"wrote {len(probs)} scores to {args.out}")
     return 0
@@ -324,8 +325,8 @@ def cmd_explain(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     model = load_checkpoint(args.checkpoint, vocab=vocab)
     # one segmentation per compound and one scorer for both the score and the table
-    x = functional_representation(args.left, args.right, vocab)
-    table = _explain_vector(model, x, vocab)
+    x = index_rows([PairExample(args.left, args.right)], vocab)
+    table = _explain_row(model, x, vocab)
     prob = model.predict_pairs(x)[0]
     lines = "".join(f"{tok}\t{coef:.6f}\n" for tok, coef in table)
     if args.out:

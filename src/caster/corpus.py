@@ -9,9 +9,7 @@ aromaticity checks are performed; strings are assumed pre-canonicalized.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field
 
 log = logging.getLogger(__name__)
 
@@ -146,14 +144,22 @@ class PairExample:
 
 @dataclass
 class PairCorpus:
-    """A list of pair examples, all labelled or all unlabelled."""
+    """A list of pair examples, all labelled or all unlabelled.
+
+    `rows` holds, for a corpus read by `load_pair_corpus`, the 0-based data
+    row of each example in its file (header and blank lines not counted),
+    so a skipped row leaves a gap; it is None for a corpus built in memory.
+    """
 
     examples: list[PairExample]
     kind: str  # LABELLED or UNLAB
+    rows: list[int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (LABELLED, UNLAB):
             raise ValueError(f"unknown corpus kind {self.kind!r}")
+        if self.rows is not None and len(self.rows) != len(self.examples):
+            raise ValueError(f"{len(self.rows)} row numbers for {len(self.examples)} examples")
         seen = set()
         for ex in self.examples:
             if self.kind == LABELLED and ex.label not in (0, 1):
@@ -187,15 +193,16 @@ def load_pair_corpus(path, kind: str) -> PairCorpus:
     Labelled schema is ``smiles_1<TAB>smiles_2<TAB>label`` with label in
     {0,1}; unlabelled is ``smiles_1<TAB>smiles_2``.  Extra columns in an
     unlabelled file are ignored with a warning.  Rows whose SMILES do not
-    tokenize are skipped and counted.  Duplicate unordered pairs are
-    rejected.  The file is read one line at a time.
+    tokenize are skipped and counted; each distinct SMILES is tokenized
+    once.  Duplicate unordered pairs are rejected.  The file is read one
+    line at a time.  The corpus's `rows` number its examples by data row.
     """
     if kind not in (LABELLED, UNLAB):
         raise ValueError(f"unknown corpus kind {kind!r}")
     try:
         with open(path, encoding="utf-8") as fh:
             try:
-                examples, skipped = _read_pairs(path, fh, kind)
+                examples, rows, skipped = _read_pairs(path, fh, kind)
             except CorpusFormatError:
                 # an undecodable byte anywhere in the file is the error
                 # reported, even after a bad row
@@ -206,11 +213,12 @@ def load_pair_corpus(path, kind: str) -> PairCorpus:
     if skipped:
         log.warning("%s: skipped %d rows with unparseable SMILES", path, skipped)
     log.info("%s: loaded %d %s pairs", path, len(examples), kind)
-    return PairCorpus(examples, kind)
+    return PairCorpus(examples, kind, rows)
 
 
-def _read_pairs(path, fh, kind: str) -> tuple[list[PairExample], int]:
-    """The examples of an open pair TSV and the number of rows skipped."""
+def _read_pairs(path, fh, kind: str) -> tuple[list[PairExample], list[int], int]:
+    """The examples of an open pair TSV, the data row of each and the
+    number of rows skipped."""
     first = fh.readline()
     if not first:
         raise CorpusFormatError(f"{path}: empty file, header row required")
@@ -233,12 +241,17 @@ def _read_pairs(path, fh, kind: str) -> tuple[list[PairExample], int]:
         ncols = 2
 
     examples: list[PairExample] = []
+    rows: list[int] = []
     seen: dict[tuple[str, str], int] = {}
+    # the tokenizer's verdict on each distinct SMILES: None or its error
+    verdicts: dict[str, SmilesParseError | None] = {}
     skipped = 0
+    data_row = -1
     for lineno, line in enumerate(fh, start=2):
         line = line.rstrip("\n")
         if not line:
             continue
+        data_row += 1
         fields = line.split("\t")
         if len(fields) < ncols:
             raise CorpusFormatError(f"{path}: line {lineno}: expected {ncols} columns, got {len(fields)}")
@@ -248,10 +261,8 @@ def _read_pairs(path, fh, kind: str) -> tuple[list[PairExample], int]:
             if fields[2] not in ("0", "1"):
                 raise CorpusFormatError(f"{path}: line {lineno}: label must be 0 or 1, got {fields[2]!r}")
             label = int(fields[2])
-        try:
-            atom_tokenize(left)
-            atom_tokenize(right)
-        except SmilesParseError as err:
+        err = _verdict(verdicts, left) or _verdict(verdicts, right)
+        if err is not None:
             log.debug("%s: line %d skipped: %s", path, lineno, err)
             skipped += 1
             continue
@@ -263,7 +274,20 @@ def _read_pairs(path, fh, kind: str) -> tuple[list[PairExample], int]:
             )
         seen[key] = lineno
         examples.append(ex)
-    return examples, skipped
+        rows.append(data_row)
+    return examples, rows, skipped
+
+
+def _verdict(verdicts: dict[str, SmilesParseError | None], smiles: str) -> SmilesParseError | None:
+    """The error tokenizing `smiles` raises, or None; each string is
+    tokenized on its first lookup only."""
+    if smiles not in verdicts:
+        try:
+            atom_tokenize(smiles)
+            verdicts[smiles] = None
+        except SmilesParseError as err:
+            verdicts[smiles] = err
+    return verdicts[smiles]
 
 
 def write_pair_corpus(path, corpus: PairCorpus) -> None:
@@ -304,36 +328,3 @@ def load_smiles_corpus(path) -> list[str]:
         log.warning("%s: skipped %d unparseable SMILES", path, skipped)
     log.info("%s: loaded %d compounds", path, len(out))
     return out
-
-
-def sample_negative_pairs(
-    positives: PairCorpus,
-    count: int,
-    seed: int,
-    drugs: list[str] | None = None,
-) -> PairCorpus:
-    """Sample non-interacting pairs from the complement of the positive set.
-
-    Draws `count` unordered pairs uniformly without replacement from
-    (drugs x drugs) minus the positive pairs minus self-pairs, labelled 0.
-    `drugs` defaults to the compounds occurring in `positives`.
-    Deterministic given `seed`.
-    """
-    if positives.kind != LABELLED or any(ex.label != 1 for ex in positives):
-        raise ValueError("positives must be a labelled corpus with all labels = 1")
-    universe = sorted(set(drugs)) if drugs is not None else positives.drugs()
-    pos_keys = {ex.key() for ex in positives}
-    complement = [
-        (a, b)
-        for i, a in enumerate(universe)
-        for b in universe[i + 1 :]
-        if (a, b) not in pos_keys
-    ]
-    if count > len(complement):
-        raise ValueError(
-            f"requested {count} negative pairs but the complement set has only {len(complement)}"
-        )
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(complement), size=count, replace=False)
-    examples = [PairExample(*complement[i], label=0) for i in sorted(idx)]
-    return PairCorpus(examples, LABELLED)

@@ -4,15 +4,21 @@ A pair's functional vector has bit i set when substructure i occurs in
 the segmentation token set of *both* compounds, so it is symmetric in
 the pair and insensitive to repeated tokens within one string.
 
-Vectors are dense float arrays (k is at most a few thousand); the sparse
-index-set form of one compound is `substructure_membership`.
+A pair shares a handful of the k substructures, so the vectors are built
+as index lists, one `nn.MultiHot` row per pair (`index_rows`), with one
+segmentation per distinct compound.  Scoring and explaining read them in
+that form; `featurize_pairs` and `functional_representation` return their
+dense float64 form, bit for bit, for training and inspection.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
-from .corpus import PairCorpus, atom_tokenize
+from .corpus import PairCorpus, PairExample, atom_tokenize
+from .nn import MultiHot
 from .spm import Vocabulary, segment
 
 
@@ -26,23 +32,10 @@ def substructure_membership(smiles: str, vocab: Vocabulary) -> set[int]:
     return present
 
 
-def functional_representation(left: str, right: str, vocab: Vocabulary) -> np.ndarray:
-    """k-dimensional multi-hot vector of substructures shared by both compounds."""
-    shared = substructure_membership(left, vocab) & substructure_membership(right, vocab)
-    x = np.zeros(vocab.k, dtype=np.float64)
-    if shared:
-        x[sorted(shared)] = 1.0
-    return x
+def index_rows(pairs: Iterable[PairExample], vocab: Vocabulary) -> MultiHot:
+    """The functional vectors of `pairs` as MultiHot rows of sorted indices.
 
-
-def featurize_pairs(
-    corpus: PairCorpus, vocab: Vocabulary
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Featurize a whole corpus into a row-major (n, k) binary matrix.
-
-    Returns (X, y) where y is the label vector for labelled corpora and
-    None otherwise.  Per-compound memberships are cached, so corpora that
-    reuse compounds featurize in O(unique compounds) segmentations.
+    Each distinct compound is segmented once, however many pairs it is in.
     """
     cache: dict[str, set[int]] = {}
 
@@ -51,9 +44,29 @@ def featurize_pairs(
             cache[s] = substructure_membership(s, vocab)
         return cache[s]
 
-    X = np.zeros((len(corpus), vocab.k), dtype=np.float64)
-    for row, ex in enumerate(corpus):
-        X[row, sorted(member(ex.left) & member(ex.right))] = 1.0
+    indptr = [0]
+    indices: list[int] = []
+    for ex in pairs:
+        indices += sorted(member(ex.left) & member(ex.right))
+        indptr.append(len(indices))
+    return MultiHot(indptr, indices, vocab.k)
+
+
+def functional_representation(left: str, right: str, vocab: Vocabulary) -> np.ndarray:
+    """k-dimensional multi-hot vector of substructures shared by both compounds."""
+    return index_rows([PairExample(left, right)], vocab).toarray()[0]
+
+
+def featurize_pairs(
+    corpus: PairCorpus, vocab: Vocabulary
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Featurize a whole corpus into a row-major (n, k) binary matrix, the
+    dense form of `index_rows(corpus, vocab)`.
+
+    Returns (X, y) where y is the label vector for labelled corpora and
+    None otherwise.
+    """
+    X = index_rows(corpus, vocab).toarray()
     if corpus.kind == "labelled":
         y = np.array(corpus.labels(), dtype=np.float64)
         return X, y

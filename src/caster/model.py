@@ -30,9 +30,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import metrics
-from .corpus import PairCorpus
-from .featurize import featurize_pairs, functional_representation
-from .nn import MLP, Adam, Identity, LowRank, Parameters, merge_grads, sigmoid, writing
+from .corpus import PairCorpus, PairExample
+from .featurize import featurize_pairs, index_rows
+from .nn import MLP, Adam, Identity, LowRank, MultiHot, Parameters, merge_grads, sigmoid, writing
 from .spm import Vocabulary
 
 log = logging.getLogger(__name__)
@@ -306,9 +306,10 @@ class CasterModel:
 
     # -- forward pieces ----------------------------------------------------
 
-    def encode(self, x: np.ndarray) -> np.ndarray:
+    def encode(self, x: np.ndarray | MultiHot) -> np.ndarray:
+        """Latent rows of a batch x, dense or MultiHot, or of one vector (k,)."""
         single = x.ndim == 1
-        z, _ = self.encoder.forward(np.atleast_2d(x))
+        z, _ = self.encoder.forward(x[None] if single else x)
         return z[0] if single else z
 
     def decode(self, z: np.ndarray) -> np.ndarray:
@@ -349,14 +350,17 @@ class CasterModel:
         (n, d), in the dictionary basis."""
         return z @ self.scorer().P
 
-    def predict_pairs(self, X: np.ndarray) -> np.ndarray:
-        """Interaction probabilities for a batch of functional vectors, with
-        inference-mode batch norm, scored `_PREDICT_ROWS` rows at a time.
+    def predict_pairs(self, X: np.ndarray | MultiHot) -> np.ndarray:
+        """Interaction probabilities for a batch of functional vectors, dense
+        or MultiHot, with inference-mode batch norm, scored `_PREDICT_ROWS`
+        rows at a time.
 
         The predictor reads the magnified coefficients Z P as
-        LowRank(Z, magnifier P), so no (rows, k) array is formed.
+        LowRank(Z, magnifier P), so no (rows, k) array is formed; from
+        MultiHot rows, neither is the encoder's input.
         """
-        X = np.atleast_2d(X)
+        if not isinstance(X, MultiHot):
+            X = np.atleast_2d(X)
         V = self.config.magnifier * self.scorer().P
         out = np.empty(X.shape[0], dtype=np.float64)
         for lo in range(0, X.shape[0], _PREDICT_ROWS):
@@ -610,22 +614,22 @@ def explain_pair(model: CasterModel, left: str, right: str, vocab: Vocabulary) -
     magnitude; empty (with a warning) when the pair shares no vocabulary
     substructure.
     """
-    return _explain_vector(model, functional_representation(left, right, vocab), vocab)
+    return _explain_row(model, index_rows([PairExample(left, right)], vocab), vocab)
 
 
 _NOTHING_SHARED = "pair shares no vocabulary substructure; nothing to explain"
 
 
-def _explain_vector(model: CasterModel, x: np.ndarray, vocab: Vocabulary) -> list[tuple[str, float]]:
-    """The ranked table `explain_pair` returns for one functional vector x:
-    the coefficients z P[:, S] of the substructures S present in x and of no
+def _explain_row(model: CasterModel, x: MultiHot, vocab: Vocabulary) -> list[tuple[str, float]]:
+    """The ranked table `explain_pair` returns for one MultiHot row x: the
+    coefficients z P[:, S] of the substructures S present in x and of no
     others, magnified; empty, with a warning and no projection, when x is
-    zero."""
-    present = np.flatnonzero(x)
+    empty.  The encoder reads only the columns of its first layer at S."""
+    present = x.indices
     if len(present) == 0:
         log.warning(_NOTHING_SHARED)
         return []
-    magnified = model.config.magnifier * (model.encode(x) @ model.scorer().P[:, present])
+    magnified = model.config.magnifier * (model.encode(x)[0] @ model.scorer().P[:, present])
     ranked = sorted(range(len(present)), key=lambda j: (-abs(magnified[j]), j))
     # index the substructures directly: vocab.tokens() builds all k names
     return [(vocab.substructures[present[j]][0], float(magnified[j])) for j in ranked]

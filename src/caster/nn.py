@@ -3,9 +3,10 @@
 Hand-written forward/backward passes for affine layers, ReLU, sigmoid and
 1-D batch normalization, plus a bias-corrected Adam optimizer.  Caches are
 passed explicitly so the same layer can be applied to several inputs
-within one step.  An affine layer also takes two inputs that stand for
-matrices it never builds: `Identity` (the n x n identity) and `LowRank`
-(a product U @ V of rank d).  Double precision throughout.  The
+within one step.  An affine layer also takes three inputs that stand for
+matrices it never builds: `Identity` (the n x n identity), `LowRank`
+(a product U @ V of rank d) and, forward only, `MultiHot` (0/1 rows held
+as their index lists).  Double precision throughout.  The
 central-finite-difference gradient checker that verifies these passes
 lives in the tests (`tests/test_nn.py`).
 
@@ -110,6 +111,59 @@ class LowRank:
         return self._VWt[1]
 
 
+class MultiHot:
+    """An n x k batch of 0/1 rows as CSR index lists, a forward-only Dense
+    input.
+
+    Row i has ones at `indices[indptr[i]:indptr[i + 1]]`, which must be
+    strictly increasing and inside [0, k).  Dense maps it to the sum of
+    the rows of W^T at each row's indices, plus b: the values the dense
+    product gives, reading only those columns of W.
+    """
+
+    ndim = 2
+
+    def __init__(self, indptr, indices, k: int):
+        indptr = np.asarray(indptr, dtype=np.intp)
+        indices = np.asarray(indices, dtype=np.intp)
+        if indptr.ndim != 1 or indices.ndim != 1 or len(indptr) == 0:
+            raise ValueError("indptr and indices must be 1-D, with indptr holding at least one offset")
+        # slicing and array methods: np.diff and np.any cost microseconds
+        # each, and explain_pair builds one of these per call
+        if indptr[0] != 0 or indptr[-1] != len(indices) or (indptr[1:] < indptr[:-1]).any():
+            raise ValueError(f"indptr must rise from 0 to len(indices) = {len(indices)}")
+        if len(indices) and (indices.min() < 0 or indices.max() >= k):
+            raise ValueError(f"index {indices[(indices < 0) | (indices >= k)][0]} is outside [0, {k})")
+        step = indices[1:] - indices[:-1]
+        bad = (step <= 0).nonzero()[0]
+        if len(bad):
+            bad = bad[~np.isin(bad + 1, indptr)]  # a step into the next row may fall
+        if len(bad):
+            i = bad[0]
+            row = np.searchsorted(indptr, i, side="right") - 1
+            kind = "repeats" if step[i] == 0 else "is not sorted"
+            raise ValueError(f"row {row} {kind}: index {indices[i + 1]} follows {indices[i]}")
+        self.indptr = indptr
+        self.indices = indices
+        self.shape = (len(indptr) - 1, k)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, rows: slice) -> "MultiHot":
+        start, stop, step = rows.indices(len(self))
+        if step != 1:
+            raise ValueError("a MultiHot takes only contiguous row slices")
+        ptr = self.indptr[start : max(start, stop) + 1]
+        return MultiHot(ptr - ptr[0], self.indices[ptr[0] : ptr[-1]], self.shape[1])
+
+    def toarray(self) -> np.ndarray:
+        """The dense (n, k) float64 array of the rows."""
+        x = np.zeros(self.shape)
+        x[np.repeat(np.arange(len(self)), np.diff(self.indptr)), self.indices] = 1.0
+        return x
+
+
 class Dense:
     """Affine map y = x W^T + b for row-major batches."""
 
@@ -137,6 +191,13 @@ class Dense:
             return np.add(self.W.T, self.b, order="C")
         if isinstance(x, LowRank):
             return x.U @ x.times(self.W) + self.b
+        if isinstance(x, MultiHot):
+            # gather the rows of W^T, then sum each non-empty row's segment
+            y = np.tile(self.b, (x.shape[0], 1))
+            filled = (x.indptr[1:] > x.indptr[:-1]).nonzero()[0]
+            if len(filled):
+                y[filled] += np.add.reduceat(self.W.T[x.indices], x.indptr[filled], axis=0)
+            return y
         return x @ self.W.T + self.b
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray, input_grad: bool = True):
@@ -147,6 +208,8 @@ class Dense:
         """
         if grad_out.shape != (x.shape[0], self.out_dim):
             raise ValueError(f"upstream gradient shape {grad_out.shape} does not match output")
+        if isinstance(x, MultiHot):
+            raise TypeError("a MultiHot input is forward-only; train on the dense array")
         if isinstance(x, LowRank):
             grad_x = (grad_out @ x.times(self.W).T, (x.U.T @ grad_out) @ self.W) if input_grad else None
             grad_W = (grad_out.T @ x.U) @ x.V

@@ -6,6 +6,7 @@ import pytest
 from caster.cli import DEFAULTS, main
 from caster.model import CasterModel, load_checkpoint
 from caster.corpus import PairCorpus, PairExample, atom_tokenize, write_pair_corpus
+from caster.featurize import featurize_pairs
 from caster.spm import Vocabulary, mine_vocabulary
 from caster.synthetic import planted_motif_dataset, unlabelled_pair_corpus
 from test_model import save_checkpoint_with_dtype
@@ -112,6 +113,51 @@ class TestPipeline:
         rows = [line.split("\t") for line in scores.read_text().splitlines()]
         assert [r[0] for r in rows] == [str(i) for i in range(len(rows))]
         assert all(0.0 < float(r[1]) < 1.0 for r in rows)
+
+    def test_predict_ids_are_data_rows(self, trained, tmp_path):
+        # the unparseable second row is skipped and leaves a gap; a blank line is not a row
+        root, out = trained
+        pairs = [line.split("\t") for line in (root / "unlabelled.tsv").read_text().splitlines()[1:3]]
+        tsv = tmp_path / "pairs.tsv"
+        tsv.write_text(
+            f"smiles_1\tsmiles_2\n{pairs[0][0]}\t{pairs[0][1]}\nC(C\tCCO\n\n{pairs[1][0]}\t{pairs[1][1]}\n"
+        )
+        scores = tmp_path / "scores.tsv"
+        rc = main(["predict", "--vocab", str(root / "vocab.txt"),
+                   "--checkpoint", str(out / "stage2" / "model.ckpt"),
+                   "--pairs", str(tsv), "--out", str(scores)])
+        assert rc == 0
+        rows = [line.split("\t") for line in scores.read_text().splitlines()]
+        assert [r[0] for r in rows] == ["0", "2"]
+        vocab = Vocabulary.load(root / "vocab.txt")
+        model = load_checkpoint(out / "stage2" / "model.ckpt", vocab=vocab)
+        X, _ = featurize_pairs(PairCorpus([PairExample(*p) for p in pairs], "unlabelled"), vocab)
+        assert [r[1] for r in rows] == [f"{p:.6f}" for p in model.predict_pairs(X)]
+
+    def test_scoring_never_gives_the_encoder_a_dense_k_wide_input(self, trained, tmp_path, monkeypatch):
+        # explain_pair, `caster explain` and `caster predict` read their pairs as index rows
+        import caster.nn
+        from caster.model import explain_pair
+
+        root, out = trained
+        vocab = Vocabulary.load(root / "vocab.txt")
+        ckpt = out / "stage2" / "model.ckpt"
+        forward = caster.nn.Dense.forward
+        inputs = []
+
+        def tainted(layer, x):
+            inputs.append(x)
+            assert not (isinstance(x, np.ndarray) and x.shape[-1] == vocab.k), "dense k-wide input"
+            return forward(layer, x)
+
+        monkeypatch.setattr(caster.nn.Dense, "forward", tainted)
+        left, right = _positive_pair(root)
+        explain_pair(load_checkpoint(ckpt, vocab=vocab), left, right, vocab)
+        assert main(["explain", "--vocab", str(root / "vocab.txt"), "--checkpoint", str(ckpt),
+                     "--left", left, "--right", right, "--out", str(tmp_path / "t.tsv")]) == 0
+        assert main(["predict", "--vocab", str(root / "vocab.txt"), "--checkpoint", str(ckpt),
+                     "--pairs", str(root / "unlabelled.tsv"), "--out", str(tmp_path / "s.tsv")]) == 0
+        assert any(isinstance(x, caster.nn.MultiHot) for x in inputs)
 
     def test_predict_deterministic_reports(self, trained, tmp_path):
         root, out = trained

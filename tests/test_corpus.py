@@ -1,4 +1,4 @@
-"""Tokenizer grammar, TSV ingestion and negative-pair sampling."""
+"""Tokenizer grammar and TSV ingestion."""
 
 import itertools
 import re
@@ -14,7 +14,6 @@ from caster.corpus import (
     atom_tokenize,
     load_pair_corpus,
     load_smiles_corpus,
-    sample_negative_pairs,
     write_pair_corpus,
 )
 from test_spm import DAMAGE, damage
@@ -149,6 +148,38 @@ class TestPairCorpusIO:
         assert len(corpus) == 2
         assert any("skipped 1" in rec.message for rec in caplog.records)
 
+    def test_each_distinct_smiles_is_tokenized_once(self, tmp_path, caplog, monkeypatch):
+        import caster.corpus
+
+        p = tmp_path / "pairs.tsv"
+        p.write_text("smiles_1\tsmiles_2\nCCO\tCCN\nC[X!\tCCO\nCCN\tCCS\nCCS\tC[X!\nCCO\tCCS\n")
+        calls = []
+
+        def counted(smiles):
+            calls.append(smiles)
+            return atom_tokenize(smiles)
+
+        monkeypatch.setattr(caster.corpus, "atom_tokenize", counted)
+        with caplog.at_level("DEBUG", logger="caster.corpus"):
+            corpus = load_pair_corpus(p, "unlabelled")
+        assert sorted(calls) == ["CCN", "CCO", "CCS", "C[X!"]
+        assert [ex.key() for ex in corpus] == [("CCN", "CCO"), ("CCN", "CCS"), ("CCO", "CCS")]
+        assert corpus.rows == [0, 2, 4]
+        skips = [rec.getMessage() for rec in caplog.records if "skipped:" in rec.getMessage()]
+        assert skips == [
+            f"{p}: line 3 skipped: unbalanced '[': missing ']' (byte offset 1)",
+            f"{p}: line 5 skipped: unbalanced '[': missing ']' (byte offset 1)",
+        ]
+        assert any("skipped 2 rows" in rec.getMessage() for rec in caplog.records)
+
+    def test_rows_count_data_rows_only(self, tmp_path):
+        p = tmp_path / "pairs.tsv"
+        p.write_text("smiles_1\tsmiles_2\n\nCCO\tCCN\n\nC(C\tCC\nCCS\tCCP\n")
+        assert load_pair_corpus(p, "unlabelled").rows == [0, 2]
+        assert PairCorpus([PairExample("C", "N")], "unlabelled").rows is None
+        with pytest.raises(ValueError, match="2 row numbers for 1 examples"):
+            PairCorpus([PairExample("C", "N")], "unlabelled", [0, 1])
+
     def test_roundtrip(self, tmp_path):
         corpus = PairCorpus(
             [PairExample("CCO", "CCN", 1), PairExample("CCS", "CCP", 0)], "labelled"
@@ -239,55 +270,6 @@ def test_damaged_pair_corpus_raises_only_typed_errors(saved_pair_corpora, kind, 
         load_pair_corpus(damaged, kind)
     except (CorpusFormatError, SmilesParseError) as err:
         assert str(damaged) in str(err)
-
-
-class TestNegativeSampling:
-    def test_complete_graph_has_empty_complement(self):
-        positives = PairCorpus(
-            [PairExample(a, b, 1) for a, b in itertools.combinations(["C", "N", "O"], 2)],
-            "labelled",
-        )
-        with pytest.raises(ValueError, match="complement"):
-            sample_negative_pairs(positives, 1, seed=0)
-
-    def test_forced_complement(self):
-        positives = PairCorpus([PairExample("C", "N", 1)], "labelled")
-        negs = sample_negative_pairs(positives, 2, seed=0, drugs=["C", "N", "O"])
-        assert {ex.key() for ex in negs} == {("C", "O"), ("N", "O")}
-        assert all(ex.label == 0 for ex in negs)
-
-    def test_disjoint_and_seed_deterministic(self):
-        # 10 drugs, 5 positives, 20 requested: enumerate the complement to verify
-        drugs = [f"{'C' * (i + 1)}" for i in range(10)]
-        pos = [
-            PairExample(drugs[0], drugs[1], 1),
-            PairExample(drugs[2], drugs[3], 1),
-            PairExample(drugs[4], drugs[5], 1),
-            PairExample(drugs[6], drugs[7], 1),
-            PairExample(drugs[8], drugs[9], 1),
-        ]
-        positives = PairCorpus(pos, "labelled")
-        pos_keys = {ex.key() for ex in pos}
-        a = sample_negative_pairs(positives, 20, seed=7)
-        b = sample_negative_pairs(positives, 20, seed=7)
-        c = sample_negative_pairs(positives, 20, seed=8)
-        assert [ex.key() for ex in a] == [ex.key() for ex in b]
-        assert [ex.key() for ex in a] != [ex.key() for ex in c]
-        for corpus in (a, c):
-            keys = {ex.key() for ex in corpus}
-            assert len(keys) == 20
-            assert not keys & pos_keys
-            assert all(left != right for left, right in keys)
-
-    def test_rejects_positives_with_zero_labels(self):
-        positives = PairCorpus([PairExample("C", "N", 0)], "labelled")
-        with pytest.raises(ValueError, match="labels = 1"):
-            sample_negative_pairs(positives, 1, seed=0)
-
-    def test_count_exceeding_complement(self):
-        positives = PairCorpus([PairExample("C", "N", 1)], "labelled")
-        with pytest.raises(ValueError):
-            sample_negative_pairs(positives, 4, seed=0, drugs=["C", "N", "O"])
 
 
 class TestPairCorpusInvariants:

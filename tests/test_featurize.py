@@ -7,9 +7,11 @@ from caster.corpus import PairCorpus, PairExample, atom_tokenize
 from caster.featurize import (
     featurize_pairs,
     functional_representation,
+    index_rows,
     substructure_membership,
 )
-from caster.spm import MergeRule, Vocabulary, segment
+from caster.spm import MergeRule, Vocabulary, mine_vocabulary, segment
+from caster.synthetic import unlabelled_pair_corpus
 
 
 @pytest.fixture
@@ -84,3 +86,58 @@ class TestBatchFeaturization:
         corpus = PairCorpus([PairExample("CCO", "CCN")], "unlabelled")
         X, y = featurize_pairs(corpus, vocab)
         assert y is None and X.shape == (1, 3)
+
+
+def per_row_fill(corpus, vocab):
+    """Oracle for featurize_pairs: each row's shared indices set in a zero
+    matrix one row at a time."""
+    X = np.zeros((len(corpus), vocab.k), dtype=np.float64)
+    for row, ex in enumerate(corpus):
+        shared = substructure_membership(ex.left, vocab) & substructure_membership(ex.right, vocab)
+        X[row, sorted(shared)] = 1.0
+    return X
+
+
+class TestIndexRows:
+    @pytest.fixture(scope="class")
+    def mined(self):
+        corpus = unlabelled_pair_corpus(200, 60, seed=3)
+        vocab = mine_vocabulary([atom_tokenize(s) for s in corpus.drugs()], eta=5)
+        return corpus, vocab
+
+    def test_featurize_pairs_equals_the_per_row_fill(self, mined):
+        corpus, vocab = mined
+        X, _ = featurize_pairs(corpus, vocab)
+        expected = per_row_fill(corpus, vocab)
+        assert X.dtype == expected.dtype and X.flags.c_contiguous
+        assert np.array_equal(X, expected)
+        assert (X.sum(axis=1) == 0).any() and (X.sum(axis=1) > 1).any()  # the corpus has both kinds
+
+    def test_rows_are_the_sorted_shared_indices(self, mined):
+        corpus, vocab = mined
+        rows = index_rows(corpus, vocab)
+        assert rows.shape == (len(corpus), vocab.k)
+        for i, ex in enumerate(corpus):
+            shared = substructure_membership(ex.left, vocab) & substructure_membership(ex.right, vocab)
+            np.testing.assert_array_equal(rows.indices[rows.indptr[i] : rows.indptr[i + 1]], sorted(shared))
+
+    def test_one_segmentation_per_distinct_compound(self, mined, monkeypatch):
+        import caster.featurize
+
+        corpus, vocab = mined
+        calls = []
+
+        def counted(smiles, v):
+            calls.append(smiles)
+            return substructure_membership(smiles, v)
+
+        monkeypatch.setattr(caster.featurize, "substructure_membership", counted)
+        index_rows(corpus, vocab)
+        assert sorted(calls) == corpus.drugs()
+
+    def test_functional_representation_is_the_dense_row(self, mined):
+        corpus, vocab = mined
+        for ex in list(corpus)[:20]:
+            x = functional_representation(ex.left, ex.right, vocab)
+            assert x.shape == (vocab.k,)
+            assert np.array_equal(x, index_rows([ex], vocab).toarray()[0])

@@ -12,7 +12,7 @@ from scipy.linalg import cho_factor, cho_solve
 import caster.model
 import caster.nn
 from caster.corpus import PairCorpus, PairExample
-from caster.featurize import featurize_pairs, functional_representation
+from caster.featurize import featurize_pairs, functional_representation, index_rows
 from caster.model import (
     CasterModel,
     CheckpointError,
@@ -777,7 +777,9 @@ def assert_matches_oracle(m, vocab, pairs, X):
     """Scores and explanations of `m` against the recompute-per-call oracle;
     returns the scores."""
     scores = m.predict_pairs(X)
-    assert np.abs(scores - oracle_predict_pairs(m, X)).max() <= 1e-12
+    oracle = oracle_predict_pairs(m, X)
+    assert np.abs(scores - oracle).max() <= 1e-12
+    assert np.abs(m.predict_pairs(index_rows(pairs, vocab)) - oracle).max() <= 1e-12
     for ex in pairs:
         table = explain_pair(m, ex.left, ex.right, vocab)
         expected = oracle_explain_pair(m, ex.left, ex.right, vocab)
@@ -802,6 +804,18 @@ class TestScorer:
             r = ridge_coefficients(zs, B, m.weights.lambda1)
             assert m.project(zs).shape == r.shape
             assert np.abs(m.project(zs) - r).max() <= 1e-12 * np.abs(r).max()
+
+    def test_index_rows_are_scored_in_chunks(self, monkeypatch):
+        # chunks of 5 rows split the 13 pairs unevenly; the last pair shares nothing
+        m, vocab, pairs, X = _scorer_case("k300", "float64")
+        pairs = PairCorpus([*pairs, PairExample("[C1]", "[C2]")], "unlabelled")
+        X, _ = featurize_pairs(pairs, vocab)
+        rows = index_rows(pairs, vocab)
+        whole = m.predict_pairs(rows)
+        monkeypatch.setattr(caster.model, "_PREDICT_ROWS", 5)
+        assert np.abs(m.predict_pairs(rows) - whole).max() <= 1e-12
+        assert np.abs(whole - oracle_predict_pairs(m, X)).max() <= 1e-12
+        assert m.predict_pairs(rows[:0]).shape == (0,)
 
     def test_unchanged_model_builds_basis_once(self, monkeypatch):
         m, vocab, pairs, X = _scorer_case("k300", "float64")

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from caster.nn import MLP, Adam, BatchNorm1d, Dense, Identity, LowRank, relu, sigmoid, writing
+from caster.nn import MLP, Adam, BatchNorm1d, Dense, Identity, LowRank, MultiHot, relu, sigmoid, writing
 
 
 @pytest.fixture
@@ -203,6 +204,85 @@ class TestDense:
         np.testing.assert_array_equal(a.W, b.W)
         limit = np.sqrt(6.0 / 70.0)
         assert np.all(np.abs(a.W) <= limit)
+
+
+@st.composite
+def multi_hot_rows(draw):
+    """(k, rows): k in 1..50 and up to 8 index sets, with up to two empty
+    rows before and after them."""
+    k = draw(st.integers(1, 50))
+    middle = draw(st.lists(st.sets(st.integers(0, k - 1), max_size=k), max_size=8))
+    lead, trail = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    return k, [set()] * lead + middle + [set()] * trail
+
+
+def as_multi_hot(rows, k):
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    return MultiHot(indptr, [i for r in rows for i in sorted(r)], k)
+
+
+class TestMultiHot:
+    @settings(max_examples=300, deadline=None)
+    @given(case=multi_hot_rows(), out_dim=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+    @example(case=(6, []), out_dim=3, seed=0)  # no rows
+    @example(case=(6, [{1, 4}]), out_dim=3, seed=0)  # one row
+    @example(case=(50, [set(), {0, 49}, set(), set(range(50)), set()]), out_dim=3, seed=0)
+    def test_forward_matches_the_dense_product(self, case, out_dim, seed):
+        # the gather-sum path against the layer applied to the dense 0/1 rows
+        k, rows = case
+        rng = np.random.default_rng(seed)
+        layer = Dense(k, out_dim, rng)
+        layer.b[...] = rng.normal(size=out_dim)
+        x = as_multi_hot(rows, k)
+        assert len(x) == len(rows) and x.shape == (len(rows), k)
+        dense = np.zeros((len(rows), k))
+        for i, r in enumerate(rows):
+            dense[i, sorted(r)] = 1.0
+        np.testing.assert_array_equal(x.toarray(), dense)
+        got, oracle = layer.forward(x), layer.forward(dense)
+        assert got.shape == oracle.shape == (len(rows), out_dim)
+        assert np.abs(got - oracle).max(initial=0.0) <= 1e-13 * np.abs(oracle).max(initial=0.0)
+
+    def test_empty_row_gets_the_bias(self, rng):
+        layer = Dense(6, 3, rng)
+        layer.b[...] = rng.normal(size=3)
+        out = layer.forward(as_multi_hot([set(), {2}, set()], 6))
+        np.testing.assert_array_equal(out[[0, 2]], np.tile(layer.b, (2, 1)))
+        np.testing.assert_array_equal(out[1], layer.W[:, 2] + layer.b)
+
+    @pytest.mark.parametrize(
+        "indptr, indices, message",
+        [
+            ([0, 2], [4, 1], "row 0 is not sorted: index 1 follows 4"),
+            ([0, 1, 3], [0, 3, 3], "row 1 repeats: index 3 follows 3"),
+            ([0, 1, 2], [2, 6], r"index 6 is outside \[0, 6\)"),
+            ([0, 1], [-1], r"index -1 is outside \[0, 6\)"),
+            ([0, 2, 1], [1, 2], "indptr must rise"),
+            ([0, 1], [1, 2], "indptr must rise"),
+        ],
+    )
+    def test_refuses_bad_indices(self, indptr, indices, message):
+        with pytest.raises(ValueError, match=message):
+            MultiHot(indptr, indices, 6)
+
+    def test_a_fall_between_rows_is_allowed(self):
+        x = MultiHot([0, 2, 3, 3, 5], [3, 5, 1, 0, 5], 6)
+        np.testing.assert_array_equal(np.flatnonzero(x.toarray()[3]), [0, 5])
+
+    def test_row_slices(self):
+        rows = [{1}, set(), {0, 2, 5}, {4}, set()]
+        x = as_multi_hot(rows, 6)
+        dense = x.toarray()
+        for sl in (slice(0, 2), slice(1, 4), slice(2, None), slice(4, 2), slice(None)):
+            np.testing.assert_array_equal(x[sl].toarray(), dense[sl])
+        with pytest.raises(ValueError, match="contiguous"):
+            x[::2]
+
+    def test_is_forward_only(self, rng):
+        layer = Dense(6, 3, rng)
+        x = as_multi_hot([{1}, {2, 3}], 6)
+        with pytest.raises(TypeError, match="forward-only"):
+            layer.backward(x, np.ones((2, 3)), input_grad=False)
 
 
 class TestBatchNorm:
