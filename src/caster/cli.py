@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -170,9 +171,9 @@ def _parse_split(text: str) -> tuple[float, float, float]:
         nums = [float(p) for p in parts]
     except ValueError as err:
         raise UsageError(f"bad --split value {text!r}") from err
+    if not all(math.isfinite(v) and v > 0 for v in nums):
+        raise UsageError(f"--split ratios must be finite numbers > 0, got {text!r}")
     total = sum(nums)
-    if total <= 0 or any(v <= 0 for v in nums):
-        raise UsageError("--split ratios must be positive")
     return tuple(v / total for v in nums)
 
 
@@ -270,12 +271,7 @@ def cmd_pretrain(args) -> int:
     history = model_mod.pretrain(model, corpus, vocab, config)
     ckpt = out_dir / "pretrained.ckpt"
     save_checkpoint(ckpt, model)
-    with open(out_dir / "pretrain_history.tsv", "w", encoding="utf-8") as fh:
-        fh.write("epoch\tbatch\tloss\trecon\tproj\n")
-        for row in history:
-            fh.write(
-                f"{row['epoch']}\t{row['batch']}\t{row['loss']:.6f}\t{row['recon']:.6f}\t{row['proj']:.6f}\n"
-            )
+    metrics.write_history(out_dir / "pretrain_history.tsv", history, metrics.PRETRAIN_HISTORY_COLUMNS)
     print(f"pretrained checkpoint written to {ckpt}")
     return 0
 

@@ -101,12 +101,14 @@ def write_report(path, values: dict[str, float]) -> None:
 
 
 HISTORY_COLUMNS = ("epoch", "loss", "recon", "proj", "clf", "val_roc_auc")
+PRETRAIN_HISTORY_COLUMNS = ("epoch", "batch", "loss", "recon", "proj")
+_COUNTS = ("epoch", "batch")
 
 
-def write_history(path, rows: list[dict]) -> None:
-    """Per-epoch training history as TSV."""
+def write_history(path, rows: list[dict], columns: tuple[str, ...] = HISTORY_COLUMNS) -> None:
+    """History rows as TSV: epoch and batch as integers, every other column
+    to six decimals."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(HISTORY_COLUMNS) + "\n")
+        fh.write("\t".join(columns) + "\n")
         for row in rows:
-            cells = [str(row["epoch"])] + [f"{row[c]:.6f}" for c in HISTORY_COLUMNS[1:]]
-            fh.write("\t".join(cells) + "\n")
+            fh.write("\t".join(str(row[c]) if c in _COUNTS else f"{row[c]:.6f}" for c in columns) + "\n")

@@ -66,10 +66,11 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "lambda2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.lambda1 <= 0:
-            raise ValueError("lambda1 must be positive (the projection solve requires it)")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+        if not (math.isfinite(self.lambda1) and self.lambda1 > 0):
+            raise ValueError(f"lambda1 must be a finite number > 0 for the projection solve, got {self.lambda1}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ class TrainingConfig:
         for name in ("pretrain_epochs", "patience"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if any(r <= 0 for r in self.split_ratio) or abs(sum(self.split_ratio) - 1.0) > 1e-9:
+        if not all(r > 0 for r in self.split_ratio) or abs(sum(self.split_ratio) - 1.0) > 1e-9:
             raise ValueError("split ratios must be positive and sum to 1")
         if self.split_mode != "ratio":
             try:
@@ -151,13 +152,14 @@ def classification_loss(p: np.ndarray, y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def cho_factor(M: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L of the symmetric positive-definite M."""
-    return np.linalg.cholesky(M)
+    """Inverse Cholesky factor F = L^{-1} of the symmetric positive-definite
+    M = L L^T, so that M^{-1} = F^T F."""
+    return np.linalg.inv(np.linalg.cholesky(M))
 
 
-def cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """(L L^T)^{-1} rhs for a factor L from `cho_factor`."""
-    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+def cho_solve(F: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """M^{-1} rhs as two products, F^T (F rhs), for a factor F from `cho_factor`."""
+    return F.T @ (F @ rhs)
 
 
 def _gram(B: np.ndarray, lambda1: float) -> np.ndarray:
@@ -165,23 +167,15 @@ def _gram(B: np.ndarray, lambda1: float) -> np.ndarray:
     return B @ B.T + lambda1 * np.eye(B.shape[0])
 
 
-def _refined_solve(M: np.ndarray, factor: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """M^{-1} Z^T from M's factor, sharpened by one residual-correction pass."""
-    W = cho_solve(factor, Z.T)
-    W += cho_solve(factor, Z.T - M @ W)
-    return W
-
-
 def _dual_solve(Z: np.ndarray, B: np.ndarray, lambda1: float):
     """W = (B B^T + lambda1 I)^{-1} Z^T for a batch Z (n, d), and the factor.
 
-    Returns W (d, n) and the Cholesky factor, for the solves of the
-    backward pass.  Every call runs on numpy's BLAS and LAPACK (see "One
-    BLAS" in the README).
+    Returns W (d, n) and the d x d inverse Cholesky factor, which the
+    backward pass reuses: every solve after the factorization is two
+    products on numpy's BLAS (see "One BLAS" in the README).
     """
-    M = _gram(B, lambda1)
-    factor = cho_factor(M)
-    return _refined_solve(M, factor, Z), factor
+    factor = cho_factor(_gram(B, lambda1))
+    return cho_solve(factor, Z.T), factor
 
 
 def ridge_coefficients(z: np.ndarray, B: np.ndarray, lambda1: float) -> np.ndarray:
@@ -223,8 +217,7 @@ class Scorer:
 
     @classmethod
     def build(cls, key: tuple[int, float], B: np.ndarray) -> "Scorer":
-        M = _gram(B, key[1])
-        P = _refined_solve(M, cho_factor(M), B.T)
+        P = cho_solve(cho_factor(_gram(B, key[1])), B)
         P.setflags(write=False)
         return cls(key, P)
 

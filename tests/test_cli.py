@@ -1,5 +1,7 @@
 """End-to-end command-line behavior on a small synthetic corpus."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,13 @@ class TestPipeline:
         assert history[0].startswith("epoch\t")
         report = (out / "stage2" / "test_metrics.tsv").read_text().strip().split("\t")
         assert len(report) == 3 and all(0.0 <= float(v) <= 1.0 for v in report)
+
+    def test_pretrain_history_format(self, trained):
+        _, out = trained
+        lines = (out / "stage1" / "pretrain_history.tsv").read_text().splitlines()
+        assert lines[0] == "epoch\tbatch\tloss\trecon\tproj"
+        assert re.fullmatch(r"0\t0(\t-?\d+\.\d{6}){3}", lines[1])
+        assert len(lines) > 2
 
     def test_predict_scores_in_range(self, trained, tmp_path):
         root, out = trained
@@ -458,6 +467,13 @@ class TestSettingsValidation:
         assert self._train(workspace, tmp_path, "--lr", lr) == 2
         assert "lr must be a finite number > 0" in capsys.readouterr().err
 
+    def test_config_file_non_finite_weight_exits_2(self, workspace, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("lambda2=nan\n")
+        assert self._train(workspace, tmp_path, "--config", str(conf)) == 2
+        assert "lambda2 must be a finite number >= 0, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mode", ["folds:x", "folds:", "folds:1", "fold:3"])
     def test_bad_split_mode_names_the_setting(self, workspace, tmp_path, capsys, mode):
         conf = tmp_path / "run.conf"
@@ -490,6 +506,12 @@ class TestSettingsValidation:
         (("--magnifier", "0"), "magnifier must be a finite number > 0, got 0.0"),
         (("--magnifier", "-2"), "magnifier must be a finite number > 0, got -2.0"),
         (("--magnifier", "nan"), "magnifier must be a finite number > 0, got nan"),
+        *(((f"--{name}", value), f"{name} must be a finite number >= 0, got {value}")
+          for name in ("alpha", "beta", "gamma", "lambda2") for value in ("nan", "inf")),
+        (("--lambda1", "nan"), "lambda1 must be a finite number > 0 for the projection solve, got nan"),
+        (("--lambda1", "inf"), "lambda1 must be a finite number > 0 for the projection solve, got inf"),
+        (("--split", "nan:1:1"), "--split ratios must be finite numbers > 0, got 'nan:1:1'"),
+        (("--split", "7:inf:2"), "--split ratios must be finite numbers > 0, got '7:inf:2'"),
     ])
     def test_meaningless_run_exits_2_before_any_step(self, workspace, tmp_path, capsys, monkeypatch, flags, message):
         def no_step(*args, **kwargs):

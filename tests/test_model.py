@@ -47,7 +47,7 @@ def primal_ridge(z, B, lam):
     factor = cho_factor(M)
     rhs = B.T @ np.atleast_2d(z).T
     R = cho_solve(factor, rhs)
-    R += cho_solve(factor, rhs - M @ R)  # one correction pass, as the solver under test does
+    R += cho_solve(factor, rhs - M @ R)
     return R.T[0] if z.ndim == 1 else R.T
 
 
@@ -293,6 +293,17 @@ class TestRidge:
             assert projection_loss(z, B, perturbed, lam, 0.0) >= best - 1e-12
 
 
+def refined_dual_solve(Z, B, lam):
+    """Oracle for _dual_solve: scipy's Cholesky solve of (B B^T + lam I) W =
+    Z^T, sharpened by two residual-correction passes."""
+    M = B @ B.T + lam * np.eye(B.shape[0])
+    factor = cho_factor(M)
+    W = cho_solve(factor, Z.T)
+    for _ in range(2):
+        W += cho_solve(factor, Z.T - M @ W)
+    return W
+
+
 class TestNumpySolve:
     """caster's numpy Cholesky solve against scipy's, where the projection is
     worst conditioned: lambda1 = 1e-5 and a nearly rank-deficient basis."""
@@ -308,18 +319,37 @@ class TestNumpySolve:
             M = B @ B.T + lam * np.eye(d)
             assert np.linalg.cond(M) > 1e5
             factor = cho_factor(M)
-            ref = cho_solve(factor, Z.T)
-            ref += cho_solve(factor, Z.T - M @ ref)
+            ref = refined_dual_solve(Z, B, lam)
 
-            L = caster.model.cho_factor(M)
+            # caster's factor is the inverse of scipy's
+            F = caster.model.cho_factor(M)
             scipy_L = np.tril(factor[0]) if factor[1] else np.triu(factor[0]).T
-            assert np.abs(L - scipy_L).max() <= 1e-10 * np.abs(scipy_L).max()
+            assert np.abs(F @ scipy_L - np.eye(d)).max() <= 1e-10
 
             W, _ = caster.model._dual_solve(Z, B, lam)
             assert W.dtype == dtype
             assert np.abs(W - ref).max() <= 1e-10 * np.abs(ref).max()
             R, R_ref = W.T @ B, ref.T @ B
             assert np.abs(R - R_ref).max() <= 1e-10 * np.abs(R_ref).max()
+
+    @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e8, 1e10])
+    def test_conditioning_sweep(self, cond):
+        # M = B B^T + lam I has eigenvalues c, log-spaced from 1 to 1/cond:
+        # B's singular values are sqrt(c - lam) with lam = min(c) / 2
+        d, k, n = 50, 300, 64
+        eps = np.finfo(np.float64).eps
+        c = np.logspace(0, -np.log10(cond), d)
+        lam = 0.5 * c[-1]
+        for seed in range(5):
+            rng = np.random.default_rng([seed, round(np.log10(cond))])
+            U, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            V, _ = np.linalg.qr(rng.normal(size=(k, d)))
+            B = (U * np.sqrt(c - lam)) @ V.T
+            Z = rng.normal(size=(n, d))
+            assert np.linalg.cond(B @ B.T + lam * np.eye(d)) == pytest.approx(cond, rel=1e-3)
+            ref = refined_dual_solve(Z, B, lam)
+            W, _ = caster.model._dual_solve(Z, B, lam)
+            assert np.abs(W - ref).max() <= cond * eps * np.abs(ref).max()
 
 
 class TestIdentityFreeBasis:
@@ -567,19 +597,15 @@ class TestClosedFormProjection:
         # M^{-1} B in the scorer's build, and every array computed from them
         m, X, y = _closed_form_case("k300", rng)
         n, k = X.shape
-        refined, solve = caster.model._refined_solve, caster.model.cho_solve
+        solve = caster.model.cho_solve
         solves = []
 
-        def tainted_refined_solve(M, factor, Z):
-            return refined(M, factor, Z).view(_Tainted)
-
-        def counted_solve(L, rhs):
+        def tainted_solve(F, rhs):
             solves.append(rhs.shape)
-            return solve(L, rhs)
+            return solve(F, rhs).view(_Tainted)
 
-        monkeypatch.setattr(caster.model, "_refined_solve", tainted_refined_solve)
-        monkeypatch.setattr(caster.model, "cho_solve", counted_solve)
-        for labels, expected_solves in ((None, 2), (y, 3)):
+        monkeypatch.setattr(caster.model, "cho_solve", tainted_solve)
+        for labels, expected_solves in ((None, 1), (y, 2)):
             _Tainted.shapes.clear()
             solves.clear()
             m.step(X, labels, training=True)
@@ -701,8 +727,9 @@ class TestSplits:
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
             TrainingConfig(batch_size=1)
-        with pytest.raises(ValueError):
-            TrainingConfig(split_ratio=(0.5, 0.2, 0.2))
+        for ratio in ((0.5, 0.2, 0.2), (math.nan, 0.5, 0.5)):
+            with pytest.raises(ValueError, match="split ratios"):
+                TrainingConfig(split_ratio=ratio)
         with pytest.raises(ValueError):
             TrainingConfig(split_mode="folds:1")
         with pytest.raises(ValueError):
@@ -1084,6 +1111,7 @@ class TestCheckpoint:
             (with_header(version=1), r"\('caster-ckpt', 1\)"),
             (with_header(d="three"), "malformed header"),
             (with_header(lambda1=0.0), "malformed header"),
+            (with_header(beta=math.nan), "malformed header.*beta must be a finite number >= 0, got nan"),
             (with_header(d=10), "no valid model"),
         ]
         path = tmp_path / "bad.ckpt"
