@@ -53,4 +53,4 @@ print(f"test metrics: roc_auc={result.test_metrics['roc_auc']:.4f} "
       f"pr_auc={result.test_metrics['pr_auc']:.4f} f1={result.test_metrics['f1']:.4f}")
 
 save_checkpoint("/tmp/demo_model.ckpt", model)
-print("\ncheckpoint written to /tmp/demo_model.ckpt (.npz with a JSON header, exact round-trip)")
+print("\ncheckpoint written to /tmp/demo_model.ckpt (a JSON header line, raw float64 arrays and a CRC-32; exact round-trip)")

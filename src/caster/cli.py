@@ -126,17 +126,26 @@ class Settings:
         self._file = _read_config_file(self._config) if self._config else {}
 
     def _lookup(self, key: str):
-        """(raw value, where it is set): its flag, the config file, or None
-        for a default."""
+        """(raw value, where it is set): its flag, the config file, the
+        CASTER_SEED variable for the seed, or None for a default."""
         flag = self._args.get(key)
         if flag is not None:
             return flag, "--" + key.replace("_", "-")
         if key in self._file:
             return self._file[key], self._config
+        if key == "seed" and os.environ.get("CASTER_SEED"):
+            return os.environ["CASTER_SEED"], "CASTER_SEED"
         return DEFAULTS.get(key), None
 
     def source(self, key: str) -> str | None:
         return self._lookup(key)[1]
+
+    def name(self, key: str) -> str:
+        """`key` as a refusal names it: its flag, or where it is set and the key."""
+        source = self.source(key)
+        if source is None or source.startswith("--"):
+            return source or key
+        return f"{source}: {key}"
 
     def get(self, key: str):
         """The value of `key`, cast to its type; a value that does not cast
@@ -151,11 +160,7 @@ class Settings:
             raise UsageError(f"{source}: bad value {raw!r} for {key}: {err}") from None
 
     def seed(self) -> int:
-        value = self.get("seed")
-        if value is not None:
-            return int(value)
-        env = os.environ.get("CASTER_SEED")
-        return int(env) if env else 0
+        return self.get("seed") or 0
 
     def effective(self, keys) -> dict:
         out = {key: self.get(key) for key in keys}
@@ -163,16 +168,16 @@ class Settings:
         return out
 
 
-def _parse_split(text: str) -> tuple[float, float, float]:
-    parts = str(text).split(":")
-    if len(parts) != 3:
-        raise UsageError(f"--split must be three colon-separated numbers, got {text!r}")
+def _parse_split(s: Settings) -> tuple[float, float, float]:
+    text, name = s.get("split"), s.name("split")
     try:
-        nums = [float(p) for p in parts]
-    except ValueError as err:
-        raise UsageError(f"bad --split value {text!r}") from err
+        nums = [float(p) for p in str(text).split(":")]
+    except ValueError:
+        nums = []
+    if len(nums) != 3:
+        raise UsageError(f"{name} must be three colon-separated numbers, got {text!r}")
     if not all(math.isfinite(v) and v > 0 for v in nums):
-        raise UsageError(f"--split ratios must be finite numbers > 0, got {text!r}")
+        raise UsageError(f"{name} ratios must be finite numbers > 0, got {text!r}")
     total = sum(nums)
     return tuple(v / total for v in nums)
 
@@ -185,11 +190,9 @@ _TRAIN_KEYS = (
 )
 
 
+# the configs refuse a bad value with a ValueError: `main` exits 2 on it
 def _model_config(s: Settings) -> ModelConfig:
-    try:
-        return ModelConfig(**{key: s.get(key) for key in _MODEL_KEYS})
-    except ValueError as err:
-        raise UsageError(str(err)) from err
+    return ModelConfig(**{key: s.get(key) for key in _MODEL_KEYS})
 
 
 def _check_architecture(s: Settings, config: ModelConfig, path) -> None:
@@ -204,27 +207,21 @@ def _check_architecture(s: Settings, config: ModelConfig, path) -> None:
 
 
 def _loss_weights(s: Settings) -> LossWeights:
-    try:
-        return LossWeights(*(s.get(k) for k in _WEIGHT_KEYS))
-    except ValueError as err:
-        raise UsageError(str(err)) from err
+    return LossWeights(*(s.get(k) for k in _WEIGHT_KEYS))
 
 
 def _training_config(s: Settings) -> TrainingConfig:
-    try:
-        return TrainingConfig(
-            batch_size=s.get("batch_size"),
-            lr=s.get("lr"),
-            pretrain_epochs=s.get("pretrain_epochs"),
-            max_epochs=s.get("max_epochs"),
-            patience=s.get("patience"),
-            split_ratio=_parse_split(s.get("split")),
-            split_mode=s.get("split_mode"),
-            fold_index=s.get("fold_index"),
-            seed=s.seed(),
-        )
-    except ValueError as err:
-        raise UsageError(str(err)) from err
+    return TrainingConfig(
+        batch_size=s.get("batch_size"),
+        lr=s.get("lr"),
+        pretrain_epochs=s.get("pretrain_epochs"),
+        max_epochs=s.get("max_epochs"),
+        patience=s.get("patience"),
+        split_ratio=_parse_split(s),
+        split_mode=s.get("split_mode"),
+        fold_index=s.get("fold_index"),
+        seed=s.seed(),
+    )
 
 
 def _show(value) -> str:
@@ -246,14 +243,11 @@ def _echo_config(out_dir: Path, s: Settings, model: CasterModel) -> None:
 
 def cmd_mine(args) -> int:
     s = Settings(args)
-    min_freq = s.get("min_freq")
-    max_merges = s.get("max_merges")
-    if min_freq < 1:
-        raise UsageError(f"--min-freq must be >= 1, got {min_freq}")
-    if max_merges < 0:
-        raise UsageError(f"--max-merges must be >= 0, got {max_merges}")
+    for key, least in (("min_freq", 1), ("max_merges", 0)):
+        if s.get(key) < least:
+            raise UsageError(f"{s.name(key)} must be >= {least}, got {s.get(key)}")
     compounds = load_smiles_corpus(args.corpus)
-    vocab = mine_vocabulary([atom_tokenize(c) for c in compounds], min_freq, max_merges)
+    vocab = mine_vocabulary([atom_tokenize(c) for c in compounds], s.get("min_freq"), s.get("max_merges"))
     vocab.save(args.out)
     print(f"k={vocab.k} merges={len(vocab.merges)}")
     return 0

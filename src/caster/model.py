@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import json
 import logging
-import lzma
 import math
-import zipfile
+import os
 import zlib
 from dataclasses import asdict, dataclass, field, fields
 
@@ -38,7 +37,7 @@ from .spm import Vocabulary
 log = logging.getLogger(__name__)
 
 CKPT_MAGIC = "caster-ckpt"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 
 _CLAMP = 1e-12
 # rows per predict_pairs pass: bounds the (rows, h) activations of the
@@ -115,6 +114,8 @@ class TrainingConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not all(r > 0 for r in self.split_ratio) or abs(sum(self.split_ratio) - 1.0) > 1e-9:
             raise ValueError("split ratios must be positive and sum to 1")
+        if self.split_mode == "ratio" and self.fold_index != 0:
+            raise ValueError(f"fold_index applies only with split_mode 'folds:<n>', got {self.fold_index}")
         if self.split_mode != "ratio":
             try:
                 n_folds = int(self.split_mode[6:]) if self.split_mode.startswith("folds:") else 0
@@ -632,60 +633,91 @@ def _explain_row(model: CasterModel, x: MultiHot, vocab: Vocabulary) -> list[tup
 # Checkpoint persistence
 # ---------------------------------------------------------------------------
 
-# np.savez writes a zip archive; a v1 (decimal text) checkpoint starts with _V1_MAGIC.
-_ZIP_MAGIC = b"PK\x03\x04"
-_V1_MAGIC = b"caster-ckpt v1"
-_HEADER = "header"
-# What numpy, zipfile and its decompressors raise on a damaged archive.  The
-# file is already open, so an OSError here is a bad offset or stream.
-_DAMAGED = (
-    zipfile.BadZipFile, EOFError, ValueError, NotImplementedError, RuntimeError,
-    OSError, zlib.error, lzma.LZMAError,
-)
+# the starts of a v1 (decimal text) and a v2 (.npz zip archive) checkpoint
+_OLD_MAGICS = ((b"caster-ckpt v1", "v1 text"), (b"PK\x03\x04", "v2 (.npz)"))
+_FLOAT = np.dtype("<f8")
+# the header line of the default architecture is about 2 kB
+_HEADER_LIMIT = 1 << 20
 
 
 def save_checkpoint(path, model: CasterModel) -> None:
-    """Write the state arrays and a JSON header as one .npz file at `path`.
-
-    The header, stored as a uint8 array, holds the magic and version, the
-    dimensions, layer sizes, loss weights, magnifier and vocabulary hash.
-    The arrays are stored in binary, so the round-trip is exact.
-    """
-    cfg = model.config
+    """Write `model` at `path`: a JSON header line (magic, version, sizes,
+    loss weights, magnifier, vocabulary hash, each state array's [name,
+    shape]), each array's raw little-endian float64 bytes in C order, and
+    the CRC-32 of every byte before it.  The round-trip is exact."""
+    arrays = {name: np.ascontiguousarray(a, dtype=_FLOAT) for name, a in model.state_arrays().items()}
     header = {
         "magic": CKPT_MAGIC,
         "version": CKPT_VERSION,
         "k": model.k,
-        "d": cfg.latent_dim,
-        "encoder_hidden": cfg.encoder_hidden,
-        "decoder_hidden": cfg.decoder_hidden,
-        "predictor_hidden": cfg.predictor_hidden,
+        **asdict(model.config),
         **asdict(model.weights),
-        "magnifier": cfg.magnifier,
         "vocab_hash": model.vocab_hash,
+        "arrays": [[name, a.shape] for name, a in arrays.items()],
     }
-    blob = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
-    # through a handle: given a name without ".npz", np.savez appends it
+    line = json.dumps(header).encode("utf-8") + b"\n"
+    crc = zlib.crc32(line)
     with open(path, "wb") as fh:
-        np.savez(fh, allow_pickle=False, **{_HEADER: blob}, **model.state_arrays())
+        fh.write(line)
+        for a in arrays.values():
+            a.tofile(fh)
+            crc = zlib.crc32(a, crc)
+        fh.write(crc.to_bytes(4, "little"))
 
 
-def _read_arrays(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        prefix = fh.read(len(_V1_MAGIC))
-        if prefix == _V1_MAGIC:
+def _read_checkpoint(fh):
+    """The header's model settings and the state arrays, read only once the
+    file's size is what the header's shapes and the CRC take."""
+    line = fh.readline(_HEADER_LIMIT)
+    for magic, version in _OLD_MAGICS:
+        if line.startswith(magic):
             raise CheckpointError(
-                f"{path}: this is a caster-ckpt v1 text checkpoint, which this version no "
-                f"longer reads; re-train the model to write a v{CKPT_VERSION} (.npz) checkpoint"
+                f"this is a {CKPT_MAGIC} {version} checkpoint, which this version no longer "
+                f"reads; re-train the model to write a v{CKPT_VERSION} checkpoint"
             )
-        if not prefix.startswith(_ZIP_MAGIC):
-            raise CheckpointError(f"{path}: not a {CKPT_MAGIC} v{CKPT_VERSION} (.npz) checkpoint")
-        fh.seek(0)
-        try:
-            with np.load(fh, allow_pickle=False) as npz:
-                return {name: npz[name] for name in npz.files}
-        except _DAMAGED as err:
-            raise CheckpointError(f"{path}: damaged checkpoint archive: {err}") from err
+    if not line.endswith(b"\n"):
+        raise CheckpointError(f"no header line within the first {_HEADER_LIMIT} bytes")
+    try:
+        header = json.loads(line)
+    except (ValueError, RecursionError) as err:
+        raise CheckpointError(f"not a {CKPT_MAGIC} v{CKPT_VERSION} checkpoint: {err}") from None
+    found = (header.get("magic"), header.get("version")) if isinstance(header, dict) else None
+    if found != (CKPT_MAGIC, CKPT_VERSION):
+        raise CheckpointError(f"header has (magic, version) {found}, expected {(CKPT_MAGIC, CKPT_VERSION)}")
+    try:
+        k = int(header["k"])
+        config = ModelConfig(
+            latent_dim=int(header["latent_dim"]),
+            encoder_hidden=tuple(int(n) for n in header["encoder_hidden"]),
+            decoder_hidden=tuple(int(n) for n in header["decoder_hidden"]),
+            predictor_hidden=tuple(int(n) for n in header["predictor_hidden"]),
+            magnifier=float(header["magnifier"]),
+        )
+        weights = LossWeights(**{f.name: float(header[f.name]) for f in fields(LossWeights)})
+        stored_hash = str(header["vocab_hash"])
+        shapes = {}
+        for name, shape in header["arrays"]:
+            if not isinstance(name, str) or name in shapes:
+                raise ValueError(f"array name {name!r} repeats or is not a string")
+            if not all(type(n) is int and n >= 0 for n in shape):
+                raise ValueError(f"array {name!r} has shape {shape!r}")
+            shapes[name] = tuple(shape)
+    except (KeyError, TypeError, ValueError) as err:
+        raise CheckpointError(f"malformed header: {err!r}") from err
+
+    expected = 8 * sum(math.prod(shape) for shape in shapes.values()) + 4
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left != expected:
+        raise CheckpointError(f"{left} bytes follow the header line, whose arrays and CRC take {expected}")
+    crc = zlib.crc32(line)
+    state = {}
+    for name, shape in shapes.items():
+        a = np.fromfile(fh, _FLOAT, math.prod(shape))
+        crc = zlib.crc32(a, crc)
+        state[name] = a.reshape(shape)
+    if fh.read(4) != crc.to_bytes(4, "little"):
+        raise CheckpointError("CRC-32 mismatch: the file is damaged")
+    return k, config, weights, stored_hash, state
 
 
 def load_checkpoint(path, vocab: Vocabulary | None = None, expected_vocab_hash: str | None = None) -> CasterModel:
@@ -694,44 +726,17 @@ def load_checkpoint(path, vocab: Vocabulary | None = None, expected_vocab_hash: 
     A malformed file raises CheckpointError naming `path`; a file that
     cannot be opened raises OSError.
     """
-    stored = _read_arrays(path)
-    if _HEADER not in stored:
-        raise CheckpointError(f"{path}: missing checkpoint header")
     try:
-        header = json.loads(stored.pop(_HEADER).tobytes())
-    except ValueError as err:
-        raise CheckpointError(f"{path}: malformed header: {err}") from err
-    found = (header.get("magic"), header.get("version")) if isinstance(header, dict) else None
-    if found != (CKPT_MAGIC, CKPT_VERSION):
-        raise CheckpointError(
-            f"{path}: header has (magic, version) {found}, expected {(CKPT_MAGIC, CKPT_VERSION)}"
-        )
-    try:
-        k = int(header["k"])
-        config = ModelConfig(
-            latent_dim=int(header["d"]),
-            encoder_hidden=tuple(int(n) for n in header["encoder_hidden"]),
-            decoder_hidden=tuple(int(n) for n in header["decoder_hidden"]),
-            predictor_hidden=tuple(int(n) for n in header["predictor_hidden"]),
-            magnifier=float(header["magnifier"]),
-        )
-        weights = LossWeights(**{f.name: float(header[f.name]) for f in fields(LossWeights)})
-        stored_hash = str(header["vocab_hash"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise CheckpointError(f"{path}: malformed header: {err!r}") from err
-
-    expected = expected_vocab_hash
-    if vocab is not None:
-        expected = vocab.content_hash()
-    if expected is not None and expected != stored_hash:
-        raise CheckpointError(
-            f"{path}: checkpoint was trained against a different vocabulary "
-            f"(stored hash {stored_hash[:12]}..., expected {expected[:12]}...)"
-        )
-
-    try:
-        return CasterModel(k, config, weights, vocab_hash=stored_hash, _state=stored)
+        with open(path, "rb") as fh:
+            k, config, weights, stored_hash, state = _read_checkpoint(fh)
+        expected = vocab.content_hash() if vocab is not None else expected_vocab_hash
+        if expected is not None and expected != stored_hash:
+            raise CheckpointError(
+                f"checkpoint was trained against a different vocabulary "
+                f"(stored hash {stored_hash[:12]}..., expected {expected[:12]}...)"
+            )
+        return CasterModel(k, config, weights, vocab_hash=stored_hash, _state=state)
     except CheckpointError as err:
         raise CheckpointError(f"{path}: {err}") from None
-    except (TypeError, ValueError) as err:
+    except ValueError as err:  # CasterModel's own check of d against k
         raise CheckpointError(f"{path}: header describes no valid model: {err}") from err

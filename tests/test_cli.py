@@ -11,7 +11,7 @@ from caster.corpus import PairCorpus, PairExample, atom_tokenize, write_pair_cor
 from caster.featurize import featurize_pairs
 from caster.spm import Vocabulary, mine_vocabulary
 from caster.synthetic import planted_motif_dataset, unlabelled_pair_corpus
-from test_model import save_checkpoint_with_dtype
+from test_model import save_v2_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -278,15 +278,15 @@ class TestPipeline:
         assert rc == 2
         assert "v1 text checkpoint" in capsys.readouterr().err
 
-    def test_float32_checkpoint_exits_2(self, trained, tmp_path, capsys):
+    def test_v2_checkpoint_exits_2(self, trained, tmp_path, capsys):
         root, out = trained
-        ckpt = tmp_path / "single.ckpt"
-        save_checkpoint_with_dtype(ckpt, load_checkpoint(out / "stage2" / "model.ckpt"), "float32")
+        ckpt = tmp_path / "v2.ckpt"
+        save_v2_checkpoint(ckpt, load_checkpoint(out / "stage2" / "model.ckpt"))
         rc = main(["predict", "--vocab", str(root / "vocab.txt"), "--checkpoint", str(ckpt),
                    "--pairs", str(root / "unlabelled.tsv"), "--out", str(tmp_path / "s.tsv")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"{ckpt}: array 'encoder.0.W' is float32" in err
+        assert f"{ckpt}: this is a caster-ckpt v2 (.npz) checkpoint" in err
         assert not (tmp_path / "s.tsv").exists()
 
     def test_bad_vocabulary_frequency_exits_1(self, trained, tmp_path, capsys):
@@ -466,6 +466,41 @@ class TestSettingsValidation:
     def test_learning_rate_must_be_finite_and_positive(self, workspace, tmp_path, capsys, lr):
         assert self._train(workspace, tmp_path, "--lr", lr) == 2
         assert "lr must be a finite number > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("split", "0:1:1", "split ratios must be finite numbers > 0, got '0:1:1'"),
+        ("min_freq", "0", "min_freq must be >= 1, got 0"),
+        ("max_merges", "-1", "max_merges must be >= 0, got -1"),
+    ])
+    @pytest.mark.parametrize("where", ["file", "flag"])
+    def test_range_refusal_names_its_source(self, workspace, tmp_path, capsys, key, value, message, where):
+        root, _ = workspace
+        flag = "--" + key.replace("_", "-")
+        if where == "file":
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"{key}={value}\n")
+            extra, expected = ["--config", str(conf)], f"{conf}: {message}"
+        else:
+            extra, expected = [flag, value], flag + message[len(key):]
+        if key == "split":
+            assert self._train(workspace, tmp_path, *extra) == 2
+        else:
+            assert main(["mine", "--corpus", str(root / "compounds.txt"), "--out", str(tmp_path / "v.txt"),
+                         *extra]) == 2
+        err = capsys.readouterr().err
+        assert expected in err
+        assert where == "flag" or flag not in err
+
+    def test_bad_caster_seed_names_the_variable(self, workspace, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CASTER_SEED", "abc")
+        assert self._train(workspace, tmp_path) == 2
+        assert "CASTER_SEED: bad value 'abc' for seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_fold_index_outside_fold_mode_exits_2(self, workspace, tmp_path, capsys):
+        assert self._train(workspace, tmp_path, "--fold-index", "1") == 2
+        assert "fold_index applies only with split_mode 'folds:<n>', got 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_non_finite_weight_exits_2(self, workspace, tmp_path, capsys):
         conf = tmp_path / "run.conf"

@@ -2,7 +2,8 @@
 
 import json
 import math
-import re
+import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -732,6 +733,9 @@ class TestSplits:
                 TrainingConfig(split_ratio=ratio)
         with pytest.raises(ValueError):
             TrainingConfig(split_mode="folds:1")
+        # a fold index means nothing to a ratio split
+        with pytest.raises(ValueError, match="fold_index applies only with split_mode 'folds:<n>', got 1"):
+            TrainingConfig(fold_index=1)
         with pytest.raises(ValueError):
             LossWeights(lambda1=0.0)
         with pytest.raises(ValueError):
@@ -1029,32 +1033,61 @@ class TestAdamInPlace:
                 np.testing.assert_array_equal(adam.v[name], ref_v[name], err_msg=name)
 
 
-def save_checkpoint_with_dtype(path, model, dtype):
-    """Write `model` as a v2 checkpoint from before float64 became the only
-    dtype: its header has a `dtype` entry and its arrays are in `dtype`."""
-    save_checkpoint(path, model)
-    with np.load(path) as npz:
-        arrays = {name: npz[name] for name in npz.files}
-    header = {**json.loads(arrays.pop("header").tobytes()), "dtype": dtype}
+def save_v2_checkpoint(path, model, dtype=None):
+    """Write `model` as a v2 checkpoint: an np.savez zip archive of the state
+    arrays and a JSON header stored as uint8.  With `dtype`, the header has
+    the `dtype` entry of v2 files from before float64 became the only dtype,
+    and the arrays are in `dtype`."""
+    cfg = model.config
+    header = {
+        "magic": "caster-ckpt", "version": 2, "k": model.k, "d": cfg.latent_dim,
+        "encoder_hidden": cfg.encoder_hidden, "decoder_hidden": cfg.decoder_hidden,
+        "predictor_hidden": cfg.predictor_hidden, **asdict(model.weights),
+        "magnifier": cfg.magnifier, "vocab_hash": model.vocab_hash,
+    }
+    if dtype is not None:
+        header["dtype"] = dtype
     with open(path, "wb") as fh:
         np.savez(
             fh,
             header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-            **{name: a.astype(dtype) for name, a in arrays.items()},
+            **{name: a.astype(dtype or np.float64) for name, a in model.state_arrays().items()},
         )
+
+
+def checkpoint_bytes(header, arrays):
+    """A v3 checkpoint laid out by hand: the JSON header line, each array's
+    little-endian float64 bytes and the CRC-32 of all of them.  `arrays`
+    holds (name, array) pairs; header["arrays"] describes them unless given."""
+    header = {**header}
+    header.setdefault("arrays", [[name, list(a.shape)] for name, a in arrays])
+    body = json.dumps(header).encode() + b"\n" + b"".join(np.asarray(a, "<f8").tobytes() for _, a in arrays)
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def split_checkpoint(data):
+    """The header (without `arrays`) and the (name, array) pairs of v3 bytes."""
+    line, _, rest = data.partition(b"\n")
+    header = json.loads(line)
+    arrays, at = [], 0
+    for name, shape in header.pop("arrays"):
+        size = 8 * math.prod(shape)
+        arrays.append((name, np.frombuffer(rest[at : at + size], "<f8").reshape(shape)))
+        at += size
+    return header, arrays
 
 
 @pytest.fixture(scope="module")
 def saved_checkpoint(tmp_path_factory):
-    """A checkpoint's path, its bytes and the offsets of its zip directory.
-
-    A byte damaged in a central directory entry or an end record reaches
-    zipfile's parser; one damaged in a member's data fails its CRC check.
-    """
+    """A checkpoint's path, its bytes and the offsets of its records: the
+    header line, each array and the CRC trailer."""
     path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
     save_checkpoint(path, tiny_model(seed=3))
     data = path.read_bytes()
-    records = [m.start() for m in re.finditer(rb"PK\x01\x02|PK\x05\x06|PK\x06[\x06\x07]", data)]
+    records = [0, data.index(b"\n") + 1]
+    for _, shape in json.loads(data[: records[1]])["arrays"]:
+        records.append(records[-1] + 8 * math.prod(shape))
+    assert records[-1] == len(data) - 4
     return path, data, records
 
 
@@ -1085,45 +1118,95 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="vocabulary"):
             load_checkpoint(path, expected_vocab_hash="differenthash")
 
+    def test_layout_is_header_line_raw_arrays_and_crc(self, tmp_path):
+        m = tiny_model(seed=4)
+        m.vocab_hash = "abc123"
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, m)
+        cfg = m.config
+        header = {
+            "magic": "caster-ckpt", "version": 3, "k": m.k, "latent_dim": cfg.latent_dim,
+            "encoder_hidden": list(cfg.encoder_hidden), "decoder_hidden": list(cfg.decoder_hidden),
+            "predictor_hidden": list(cfg.predictor_hidden), "magnifier": cfg.magnifier,
+            **asdict(m.weights), "vocab_hash": "abc123",
+        }
+        stored, arrays = split_checkpoint(path.read_bytes())
+        assert stored == header
+        assert sorted(name for name, _ in arrays) == sorted(m.state_arrays())
+        assert path.read_bytes() == checkpoint_bytes(stored, arrays)
+
     def test_malformed_checkpoint_rejected(self, tmp_path):
-        good = tmp_path / "good.ckpt"
-        save_checkpoint(good, tiny_model())
-        with np.load(good) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-        header = json.loads(arrays["header"].tobytes())
+        good_path = tmp_path / "good.ckpt"
+        save_checkpoint(good_path, tiny_model())
+        good = good_path.read_bytes()
+        header, arrays = split_checkpoint(good)
+        line_end = good.index(b"\n") + 1
+        W = "encoder.0.W"
+        others = [(name, a) for name, a in arrays if name != W]
+        W_shape = dict(arrays)[W].shape
 
         def with_header(**changes):
-            text = json.dumps({**header, **changes}).encode()
-            return {**arrays, "header": np.frombuffer(text, dtype=np.uint8)}
+            return checkpoint_bytes({**header, **changes}, arrays)
 
-        W = "encoder.0.W"
+        def with_shape(*shape):
+            return with_header(arrays=[[name, list(shape) if name == W else list(a.shape)] for name, a in arrays])
+
+        v2 = tmp_path / "v2.ckpt"
+        save_v2_checkpoint(v2, tiny_model())
+        flipped = bytearray(good)
+        flipped[line_end + 5] ^= 1
         cases = [
-            ("not a checkpoint\n", "not a caster-ckpt"),
-            ("caster-ckpt v1\nk=10\nd=3\n", "v1 text checkpoint"),
-            ({name: a for name, a in arrays.items() if name != W}, "missing arrays"),
-            ({**arrays, "extra": np.zeros(2)}, "unexpected arrays"),
-            ({**arrays, W: arrays[W][:-1]}, "model expects"),
-            ({**arrays, W: arrays[W].astype(np.float32)}, "model expects"),
-            ({**arrays, W: np.array([None, "x"], dtype=object)}, "damaged"),
-            ({name: a for name, a in arrays.items() if name != "header"}, "missing checkpoint header"),
-            ({**arrays, "header": np.frombuffer(b"{not json", dtype=np.uint8)}, "malformed header"),
-            (with_header(magic="other"), r"\('other', 2\), expected \('caster-ckpt', 2\)"),
-            (with_header(version=1), r"\('caster-ckpt', 1\)"),
-            (with_header(d="three"), "malformed header"),
+            (b"", "no header line"),
+            (b"not a checkpoint\n", "not a caster-ckpt v3 checkpoint"),
+            (b"{not json\n", "not a caster-ckpt v3 checkpoint"),
+            (b"[" * 100_000 + b"\n", "not a caster-ckpt v3 checkpoint"),
+            (b"caster-ckpt v1\nk=10\nd=3\n", "v1 text checkpoint"),
+            (v2.read_bytes(), r"caster-ckpt v2 \(\.npz\) checkpoint, which this version no longer reads"),
+            (good[: line_end - 1], "no header line"),
+            (b"[1, 2]\n", r"\(magic, version\) None"),
+            (good + b"junk", "bytes follow the header line"),
+            (good[: line_end + 20], "bytes follow the header line"),
+            (good[:-1], "bytes follow the header line"),
+            (bytes(flipped), "CRC-32 mismatch"),
+            (good[:-4] + bytes(4), "CRC-32 mismatch"),
+            (checkpoint_bytes(header, others), "missing arrays"),
+            (checkpoint_bytes(header, [*arrays, ("extra", np.zeros(2))]), "unexpected arrays"),
+            (checkpoint_bytes(header, [(name, a[:-1] if name == W else a) for name, a in arrays]), "model expects"),
+            (checkpoint_bytes(header, [*arrays, (W, dict(arrays)[W])]), "malformed header.*'encoder.0.W' repeats"),
+            (with_header(arrays=[[1, [2]], ["extra", [2]]]), "malformed header.*array name 1 repeats or is not a string"),
+            (with_shape(-1, W_shape[1]), "malformed header.*has shape"),
+            (with_shape(2.5, W_shape[1]), "malformed header.*has shape"),
+            (with_shape("8", W_shape[1]), "malformed header.*has shape"),
+            (with_shape(True, W_shape[1]), "malformed header.*has shape"),
+            # the size check refuses a shape far beyond the file before any array is read
+            (with_shape(10**6, 10**6), "bytes follow the header line"),
+            (with_header(arrays=5), "malformed header"),
+            (with_header(magic="other"), r"\('other', 3\), expected \('caster-ckpt', 3\)"),
+            (with_header(version=2), r"\('caster-ckpt', 2\)"),
+            (with_header(latent_dim="three"), "malformed header"),
             (with_header(lambda1=0.0), "malformed header"),
             (with_header(beta=math.nan), "malformed header.*beta must be a finite number >= 0, got nan"),
-            (with_header(d=10), "no valid model"),
+            (with_header(latent_dim=10), "no valid model"),
         ]
         path = tmp_path / "bad.ckpt"
         for content, message in cases:
-            if isinstance(content, str):
-                path.write_text(content)
-            else:
-                with open(path, "wb") as fh:
-                    np.savez(fh, **content)
+            path.write_bytes(content)
             with pytest.raises(CheckpointError, match=message) as info:
                 load_checkpoint(path)
             assert str(path) in str(info.value)
+
+    def test_refused_before_any_array_is_read(self, saved_checkpoint, tmp_path, monkeypatch):
+        _, data, _ = saved_checkpoint
+
+        def no_read(*args):
+            raise AssertionError("load_checkpoint read an array")
+
+        monkeypatch.setattr(caster.model.np, "fromfile", no_read)
+        path = tmp_path / "bad.ckpt"
+        for content in (data[:-1], data + b"\0", b'{"magic": "caster-ckpt", "version": 2}\n' + data):
+            path.write_bytes(content)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
 
     def test_load_draws_no_random_weights(self, tmp_path, monkeypatch):
         m = tiny_model(seed=5)
@@ -1163,10 +1246,12 @@ class TestCheckpoint:
             del damaged[int(cut * len(data)) :]
         damaged_path = path.with_name("damaged.ckpt")
         damaged_path.write_bytes(bytes(damaged))
-        try:
+        if damaged == data:
             load_checkpoint(damaged_path)
-        except CheckpointError as err:
-            assert str(damaged_path) in str(err)
+            return
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(damaged_path)
+        assert str(damaged_path) in str(info.value)
 
     def test_loss_weights_and_config_roundtrip(self, tmp_path):
         weights = LossWeights(alpha=0.2, beta=0.3, gamma=0.9, lambda1=1e-4, lambda2=0.05)
@@ -1183,22 +1268,11 @@ class TestCheckpoint:
             assert arr.dtype == np.float64
             assert arr.tobytes() == saved_arrays[name].tobytes()
 
-    def test_checkpoint_with_float64_dtype_header_loads_bit_identical(self, tmp_path, rng):
-        m = tiny_model(seed=8)
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_v2_checkpoint_refused_naming_v2(self, tmp_path, dtype):
         path = tmp_path / "model.ckpt"
-        save_checkpoint_with_dtype(path, m, "float64")
-        loaded = load_checkpoint(path)
-        saved = m.state_arrays()
-        for name, arr in loaded.state_arrays().items():
-            assert arr.dtype == np.float64
-            assert arr.tobytes() == saved[name].tobytes()
-        X = (rng.random((20, m.k)) < 0.4).astype(float)
-        np.testing.assert_array_equal(loaded.predict_pairs(X), m.predict_pairs(X))
-
-    def test_float32_checkpoint_names_path_and_array(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint_with_dtype(path, tiny_model(), "float32")
-        with pytest.raises(CheckpointError, match=r"array 'encoder\.0\.W' is float32 .*model expects float64") as info:
+        save_v2_checkpoint(path, tiny_model(seed=8), dtype)
+        with pytest.raises(CheckpointError, match=r"caster-ckpt v2 \(\.npz\) checkpoint.*re-train") as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
