@@ -2,9 +2,12 @@
 
 Flag values take precedence over a ``--config`` key=value file, which in
 turn overrides built-in defaults; the file may set only the keys of
-``DEFAULTS`` and ``seed``, each once.  Every command is deterministic given
-``--seed`` (env var CASTER_SEED is the fallback); the effective
-configuration is echoed into the output directory for provenance.
+``DEFAULTS`` and ``seed``, each once.  The config classes declare each
+setting's default and type: the keys, flags and casts derive from their
+fields, and a subcommand takes only the flags it reads.  ``pretrain`` and
+``train`` are deterministic given ``--seed`` (env var CASTER_SEED is the
+fallback); the effective configuration is echoed into the output
+directory for provenance.
 
 Exit codes: 0 success, 1 runtime failure (IO/parse/training), 2
 usage/validation error.
@@ -17,6 +20,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import model as model_mod
@@ -41,36 +45,12 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .spm import Vocabulary, VocabularyError, mine_vocabulary
+from .spm import DEFAULT_MAX_MERGES, Vocabulary, VocabularyError, mine_vocabulary
 
 
 
 class UsageError(ValueError):
     pass
-
-
-DEFAULTS = {
-    "min_freq": 50,
-    "max_merges": 30000,
-    "latent_dim": 50,
-    "encoder_hidden": "500,500",
-    "decoder_hidden": "500,500",
-    "predictor_hidden": "1024,1024,1024,256,64",
-    "alpha": 0.1,
-    "beta": 0.1,
-    "gamma": 1.0,
-    "lambda1": 1e-5,
-    "lambda2": 0.1,
-    "magnifier": 100.0,
-    "batch_size": 256,
-    "lr": 1e-3,
-    "pretrain_epochs": 1,
-    "max_epochs": 20,
-    "patience": 5,
-    "split": "7:1:2",
-    "split_mode": "ratio",
-    "fold_index": 0,
-}
 
 
 def _parse_hidden(text) -> tuple[int, ...]:
@@ -80,14 +60,34 @@ def _parse_hidden(text) -> tuple[int, ...]:
         raise ValueError("expected comma-separated layer sizes") from None
 
 
-_CASTS = {
-    "min_freq": int, "max_merges": int, "latent_dim": int, "batch_size": int,
-    "pretrain_epochs": int, "max_epochs": int, "patience": int, "fold_index": int,
-    "seed": int,
-    "alpha": float, "beta": float, "gamma": float, "lambda1": float, "lambda2": float,
-    "magnifier": float, "lr": float,
-    "encoder_hidden": _parse_hidden, "decoder_hidden": _parse_hidden, "predictor_hidden": _parse_hidden,
+# a config field's cast, by its annotation (model.py postpones annotations,
+# so each is the text of its type)
+_CASTS = {"int": int, "float": float, "str": str, "tuple[int, ...]": _parse_hidden}
+
+_MINING_KEYS = ("min_freq", "max_merges")
+
+# key -> (default, cast) for every setting: the mining keys, which no config
+# class holds; every field of the config classes but split_ratio; and
+# `split`, the "7:1:2" text that sets split_ratio
+_KEYS = {
+    "min_freq": (50, int),
+    "max_merges": (DEFAULT_MAX_MERGES, int),
+    **{
+        f.name: (f.default, _CASTS[f.type])
+        for cls in (ModelConfig, LossWeights, TrainingConfig)
+        for f in fields(cls)
+        if f.name != "split_ratio"
+    },
+    "split": ("7:1:2", str),
 }
+# the settings `pretrain` and `train` read
+_RUN_KEYS = tuple(key for key in _KEYS if key not in _MINING_KEYS)
+# the seed's default is $CASTER_SEED, then 0
+DEFAULTS = {key: default for key, (default, _) in _KEYS.items() if key != "seed"}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -105,9 +105,8 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise UsageError(f"{path}: line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in DEFAULTS and key != "seed":
-            known = ", ".join(sorted([*DEFAULTS, "seed"]))
-            raise UsageError(f"{path}: line {lineno}: unknown key {key!r}; the keys are {known}")
+        if key not in _KEYS:
+            raise UsageError(f"{path}: line {lineno}: unknown key {key!r}; the keys are {', '.join(sorted(_KEYS))}")
         if key in first_line:
             raise UsageError(
                 f"{path}: line {lineno}: key {key!r} is already set on line {first_line[key]}; set each key once"
@@ -122,20 +121,20 @@ class Settings:
 
     def __init__(self, args: argparse.Namespace):
         self._args = vars(args)
-        self._config = getattr(args, "config", None)
+        self._config = args.config
         self._file = _read_config_file(self._config) if self._config else {}
 
     def _lookup(self, key: str):
         """(raw value, where it is set): its flag, the config file, the
-        CASTER_SEED variable for the seed, or None for a default."""
+        CASTER_SEED variable for the seed, or (None, None) for a default."""
         flag = self._args.get(key)
         if flag is not None:
-            return flag, "--" + key.replace("_", "-")
+            return flag, _flag(key)
         if key in self._file:
             return self._file[key], self._config
         if key == "seed" and os.environ.get("CASTER_SEED"):
             return os.environ["CASTER_SEED"], "CASTER_SEED"
-        return DEFAULTS.get(key), None
+        return None, None
 
     def source(self, key: str) -> str | None:
         return self._lookup(key)[1]
@@ -151,21 +150,13 @@ class Settings:
         """The value of `key`, cast to its type; a value that does not cast
         raises UsageError naming the key and where it is set."""
         raw, source = self._lookup(key)
-        cast = _CASTS.get(key)
-        if raw is None or cast is None:
-            return raw
+        default, cast = _KEYS[key]
+        if source is None:
+            return default
         try:
             return cast(raw)
         except ValueError as err:
             raise UsageError(f"{source}: bad value {raw!r} for {key}: {err}") from None
-
-    def seed(self) -> int:
-        return self.get("seed") or 0
-
-    def effective(self, keys) -> dict:
-        out = {key: self.get(key) for key in keys}
-        out["seed"] = self.seed()
-        return out
 
 
 def _parse_split(s: Settings) -> tuple[float, float, float]:
@@ -182,46 +173,34 @@ def _parse_split(s: Settings) -> tuple[float, float, float]:
     return tuple(v / total for v in nums)
 
 
-_MODEL_KEYS = ("latent_dim", "encoder_hidden", "decoder_hidden", "predictor_hidden", "magnifier")
-_WEIGHT_KEYS = ("alpha", "beta", "gamma", "lambda1", "lambda2")
-_TRAIN_KEYS = (
-    "batch_size", "lr", "pretrain_epochs", "max_epochs", "patience",
-    "split", "split_mode", "fold_index",
-)
+def _build(cls, s: Settings, **given):
+    """`cls` from the settings of its fields but those `given`.  A config
+    class refuses a value with a ValueError that starts with the field's
+    name; `main` exits 2 on it.  A refused value set in the config file or
+    CASTER_SEED is named with that source, as `Settings.get` names it."""
+    try:
+        return cls(**{f.name: s.get(f.name) for f in fields(cls) if f.name not in given}, **given)
+    except ValueError as err:
+        key = str(err).split(" ", 1)[0]
+        source = s.source(key) if key in _KEYS else None
+        if source is None or source.startswith("--"):
+            raise
+        raise UsageError(f"{source}: {err}") from None
 
 
-# the configs refuse a bad value with a ValueError: `main` exits 2 on it
-def _model_config(s: Settings) -> ModelConfig:
-    return ModelConfig(**{key: s.get(key) for key in _MODEL_KEYS})
+def _training_config(s: Settings) -> TrainingConfig:
+    return _build(TrainingConfig, s, split_ratio=_parse_split(s))
 
 
 def _check_architecture(s: Settings, config: ModelConfig, path) -> None:
     """Refuse an architecture setting that disagrees with the checkpoint at `path`."""
-    for key in _MODEL_KEYS:
-        source, ours, theirs = s.source(key), s.get(key), getattr(config, key)
+    for key, theirs in asdict(config).items():
+        source, ours = s.source(key), s.get(key)
         if source is not None and ours != theirs:
             raise UsageError(
                 f"{source}: {key}={_show(ours)} disagrees with the checkpoint {path}, "
                 f"which has {key}={_show(theirs)}; leave it unset or match it"
             )
-
-
-def _loss_weights(s: Settings) -> LossWeights:
-    return LossWeights(*(s.get(k) for k in _WEIGHT_KEYS))
-
-
-def _training_config(s: Settings) -> TrainingConfig:
-    return TrainingConfig(
-        batch_size=s.get("batch_size"),
-        lr=s.get("lr"),
-        pretrain_epochs=s.get("pretrain_epochs"),
-        max_epochs=s.get("max_epochs"),
-        patience=s.get("patience"),
-        split_ratio=_parse_split(s),
-        split_mode=s.get("split_mode"),
-        fold_index=s.get("fold_index"),
-        seed=s.seed(),
-    )
 
 
 def _show(value) -> str:
@@ -231,8 +210,7 @@ def _show(value) -> str:
 def _echo_config(out_dir: Path, s: Settings, model: CasterModel) -> None:
     """Write the settings in effect and the architecture of `model`."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    values = s.effective(_WEIGHT_KEYS + _TRAIN_KEYS)
-    values.update((key, getattr(model.config, key)) for key in _MODEL_KEYS)
+    values = {**{key: s.get(key) for key in _RUN_KEYS}, **asdict(model.config)}
     text = "".join(f"{k}={_show(v)}\n" for k, v in sorted(values.items()))
     (out_dir / "config_used.txt").write_text(text, encoding="utf-8")
 
@@ -258,8 +236,8 @@ def cmd_pretrain(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     corpus = load_pair_corpus(args.unlabelled, "unlabelled")
     config = _training_config(s)
-    weights = _loss_weights(s)
-    model = CasterModel(vocab.k, _model_config(s), weights, seed=s.seed(), vocab_hash=vocab.content_hash())
+    weights = _build(LossWeights, s)
+    model = CasterModel(vocab.k, _build(ModelConfig, s), weights, seed=config.seed, vocab_hash=vocab.content_hash())
     out_dir = Path(args.out_dir)
     _echo_config(out_dir, s, model)
     history = model_mod.pretrain(model, corpus, vocab, config)
@@ -275,14 +253,14 @@ def cmd_train(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     corpus = load_pair_corpus(args.labelled, "labelled")
     config = _training_config(s)
-    weights = _loss_weights(s)
+    weights = _build(LossWeights, s)
     if args.init_checkpoint:
         model = load_checkpoint(args.init_checkpoint, vocab=vocab)
         _check_architecture(s, model.config, args.init_checkpoint)
         model.weights = weights
     else:
         model = CasterModel(
-            vocab.k, _model_config(s), weights, seed=s.seed(), vocab_hash=vocab.content_hash()
+            vocab.k, _build(ModelConfig, s), weights, seed=config.seed, vocab_hash=vocab.content_hash()
         )
     out_dir = Path(args.out_dir)
     _echo_config(out_dir, s, model)
@@ -331,80 +309,58 @@ def cmd_explain(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_settings(p: argparse.ArgumentParser, keys) -> None:
+    """A flag for each of `keys`; `Settings.get` casts what it is given."""
+    for key in keys:
+        default = _show(_KEYS[key][0])
+        if key == "seed":
+            default = f"$CASTER_SEED or {default}"
+        p.add_argument(_flag(key), dest=key, help=f"default: {default}")
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int, help="random seed (default: $CASTER_SEED or 0)")
-    p.add_argument("-v", "--verbose", action="store_true", help="log progress")
-
-
-def _add_hyper(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--latent-dim", type=int, dest="latent_dim")
-    p.add_argument("--encoder-hidden", dest="encoder_hidden")
-    p.add_argument("--decoder-hidden", dest="decoder_hidden")
-    p.add_argument("--predictor-hidden", dest="predictor_hidden")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--lambda2", type=float)
-    p.add_argument("--magnifier", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--pretrain-epochs", type=int, dest="pretrain_epochs")
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--patience", type=int)
-    p.add_argument("--split", help="train:val:test ratio, e.g. 7:1:2")
-    p.add_argument("--split-mode", dest="split_mode", help="'ratio' or 'folds:<n>'")
-    p.add_argument("--fold-index", type=int, dest="fold_index")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="caster", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mine", help="mine a substructure vocabulary from a SMILES corpus")
-    p.add_argument("--corpus", required=True, help="one SMILES per line, no header")
-    p.add_argument("--min-freq", type=int, dest="min_freq")
-    p.add_argument("--max-merges", type=int, dest="max_merges")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_mine)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("-v", "--verbose", action="store_true", help="log progress")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("pretrain", help="stage 1: unsupervised training on unlabelled pairs")
+    p = command("mine", cmd_mine, "mine a substructure vocabulary from a SMILES corpus")
+    p.add_argument("--corpus", required=True, help="one SMILES per line, no header")
+    p.add_argument("--out", required=True)
+    _add_settings(p, _MINING_KEYS)
+
+    p = command("pretrain", cmd_pretrain, "stage 1: unsupervised training on unlabelled pairs")
     p.add_argument("--vocab", required=True)
     p.add_argument("--unlabelled", required=True, help="TSV: smiles_1<TAB>smiles_2")
     p.add_argument("--out-dir", required=True, dest="out_dir")
-    _add_hyper(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_pretrain)
+    _add_settings(p, _RUN_KEYS)
 
-    p = sub.add_parser("train", help="stage 2: supervised training with early stopping")
+    p = command("train", cmd_train, "stage 2: supervised training with early stopping")
     p.add_argument("--vocab", required=True)
     p.add_argument("--labelled", required=True, help="TSV: smiles_1<TAB>smiles_2<TAB>label")
     p.add_argument("--init-checkpoint", dest="init_checkpoint",
                    help="stage-1 checkpoint; when set, the architecture comes from "
                         "the checkpoint, and an architecture setting must match it or be unset")
     p.add_argument("--out-dir", required=True, dest="out_dir")
-    _add_hyper(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
+    _add_settings(p, _RUN_KEYS)
 
-    p = sub.add_parser("predict", help="score pairs with a trained checkpoint")
+    p = command("predict", cmd_predict, "score pairs with a trained checkpoint")
     p.add_argument("--vocab", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("explain", help="ranked substructure coefficients for one pair")
+    p = command("explain", cmd_explain, "ranked substructure coefficients for one pair")
     p.add_argument("--vocab", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_explain)
 
     return parser
 
@@ -412,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
+        level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:

@@ -109,7 +109,7 @@ class TrainingConfig:
             raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        for name in ("pretrain_epochs", "patience"):
+        for name in ("pretrain_epochs", "patience", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not all(r > 0 for r in self.split_ratio) or abs(sum(self.split_ratio) - 1.0) > 1e-9:
@@ -227,6 +227,17 @@ class Scorer:
 # Model
 # ---------------------------------------------------------------------------
 
+def _check_shapes(state: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:
+    """Refuse `state` unless its arrays have exactly the names and shapes in `shapes`."""
+    if state.keys() != shapes.keys():
+        missing = sorted(shapes.keys() - state.keys())
+        extra = sorted(state.keys() - shapes.keys())
+        raise CheckpointError(f"missing arrays {missing}, unexpected arrays {extra}")
+    for name, value in state.items():
+        if value.shape != shapes[name]:
+            raise CheckpointError(f"array {name!r} is {value.shape}, model expects {shapes[name]}")
+
+
 class CasterModel:
     """Encoder/decoder/predictor triple over a fixed substructure vocabulary."""
 
@@ -242,25 +253,31 @@ class CasterModel:
     ):
         """Layers drawn from `seed`; `load_checkpoint` passes `_state`, the
         stored arrays, which the layers take instead of drawing any.  Arrays
-        that do not match the layers' names, shapes and dtypes raise
-        CheckpointError."""
-        self.config = config or ModelConfig()
+        whose names and shapes are not those of `k` and `config` raise
+        CheckpointError before any layer is allocated."""
+        self.config = c = config or ModelConfig()
         self.weights = weights or LossWeights()
         self.k = k
         self.vocab_hash = vocab_hash
-        d = self.config.latent_dim
+        d = c.latent_dim
         if not 0 < d < k:
             raise ValueError(f"latent_dim must satisfy 0 < d < k, got d={d}, k={k}")
+        stacks = (
+            (k, c.encoder_hidden, d, False, "encoder"),
+            (d, c.decoder_hidden, k, False, "decoder"),
+            (k, c.predictor_hidden, 1, True, "predictor"),
+        )
+        if _state is not None:
+            _check_shapes(_state, {n: s for sizes in stacks for n, s in MLP.state_shapes(*sizes).items()})
         rng = np.random.default_rng(seed) if _state is None else None
-        self.encoder = MLP(k, self.config.encoder_hidden, d, rng, name="encoder")
-        self.decoder = MLP(d, self.config.decoder_hidden, k, rng, name="decoder")
-        self.predictor = MLP(k, self.config.predictor_hidden, 1, rng, batchnorm=True, name="predictor")
+        self.encoder, self.decoder, self.predictor = (MLP(i, h, o, rng, bn, name) for i, h, o, bn, name in stacks)
         # the dictionary basis is the encoding of this identity; perfbench's
         # tracer tells basis passes from data passes by this object
         self._eye = Identity(k)
         self._scorer: Scorer | None = None
         if _state is not None:
-            self._adopt(_state)
+            for mlp in self._stacks():
+                mlp.load_state(_state)
 
     def _stacks(self) -> tuple[MLP, MLP, MLP]:
         return self.encoder, self.decoder, self.predictor
@@ -272,22 +289,6 @@ class CasterModel:
     def state_arrays(self) -> Parameters:
         stacks = self._stacks()
         return Parameters({n: a for mlp in stacks for n, a in mlp.state_arrays().items()}, stacks)
-
-    def _adopt(self, state: dict[str, np.ndarray]) -> None:
-        arrays = self.state_arrays()
-        if state.keys() != arrays.keys():
-            missing = sorted(arrays.keys() - state.keys())
-            extra = sorted(state.keys() - arrays.keys())
-            raise CheckpointError(f"missing arrays {missing}, unexpected arrays {extra}")
-        for name, value in state.items():
-            target = arrays[name]
-            if value.shape != target.shape or value.dtype != target.dtype:
-                raise CheckpointError(
-                    f"array {name!r} is {value.dtype} {value.shape}, "
-                    f"model expects {target.dtype} {target.shape}"
-                )
-        for mlp in self._stacks():
-            mlp.load_state(state)
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self.state_arrays().items()}

@@ -311,6 +311,21 @@ class MLP:
                 arrays[f"{self.name}.{i}.bn.running_var"] = bn.running_var
         return arrays
 
+    @staticmethod
+    def state_shapes(in_dim: int, hidden: tuple[int, ...], out_dim: int, batchnorm: bool = False,
+                     name: str = "mlp") -> dict[str, tuple[int, ...]]:
+        """The name and shape of each array `state_arrays` gives for an MLP
+        of these sizes, found without allocating any."""
+        dims = [in_dim, *hidden, out_dim]
+        shapes = {}
+        for i in range(len(dims) - 1):
+            shapes[f"{name}.{i}.W"] = (dims[i + 1], dims[i])
+            shapes[f"{name}.{i}.b"] = (dims[i + 1],)
+        for i, h in enumerate(hidden if batchnorm else ()):
+            for attr in ("gamma", "beta", "running_mean", "running_var"):
+                shapes[f"{name}.{i}.bn.{attr}"] = (h,)
+        return shapes
+
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Take `arrays[name]` for each name `state_arrays` lists, without
         copying, and freeze the trainable ones."""

@@ -1,12 +1,14 @@
 """End-to-end command-line behavior on a small synthetic corpus."""
 
+import argparse
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from caster.cli import DEFAULTS, main
-from caster.model import CasterModel, load_checkpoint
+from caster.cli import DEFAULTS, build_parser, main
+from caster.model import CasterModel, LossWeights, ModelConfig, TrainingConfig, load_checkpoint
 from caster.corpus import PairCorpus, PairExample, atom_tokenize, write_pair_corpus
 from caster.featurize import featurize_pairs
 from caster.spm import Vocabulary, mine_vocabulary
@@ -506,7 +508,28 @@ class TestSettingsValidation:
         conf = tmp_path / "run.conf"
         conf.write_text("lambda2=nan\n")
         assert self._train(workspace, tmp_path, "--config", str(conf)) == 2
-        assert "lambda2 must be a finite number >= 0, got nan" in capsys.readouterr().err
+        assert f"{conf}: lambda2 must be a finite number >= 0, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where, line, message", [
+        ("flag", "seed=-1", "seed must be >= 0, got -1"),
+        ("file", "seed=-1", "{conf}: seed must be >= 0, got -1"),
+        ("env", "seed=-1", "CASTER_SEED: seed must be >= 0, got -1"),
+        ("file", "lr=0", "{conf}: lr must be a finite number > 0, got 0.0"),
+        ("file", "magnifier=0", "{conf}: magnifier must be a finite number > 0, got 0.0"),
+        ("flag", "lr=0", "lr must be a finite number > 0, got 0.0"),
+    ])
+    def test_config_class_refusal_names_file_or_variable(self, workspace, tmp_path, capsys, monkeypatch,
+                                                          where, line, message):
+        # a flag's refusal stays unprefixed; the file and CASTER_SEED are named
+        key, value = line.split("=")
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        extra = {"flag": ["--" + key.replace("_", "-"), value], "file": ["--config", str(conf)], "env": []}[where]
+        if where == "env":
+            monkeypatch.setenv("CASTER_SEED", value)
+        assert self._train(workspace, tmp_path, *extra) == 2
+        assert "error: " + message.format(conf=conf) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode", ["folds:x", "folds:", "folds:1", "fold:3"])
@@ -522,16 +545,24 @@ class TestSettingsValidation:
         assert self._train(workspace, tmp_path, "--config", str(conf)) == 2
         assert f"{conf}: line 3: invalid UTF-8 byte 0xff" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line, key", [("lr=abc", "lr"), ("encoder_hidden=24,x", "encoder_hidden")])
+    @pytest.mark.parametrize("line, key", [
+        ("lr=abc", "lr"), ("encoder_hidden=24,x", "encoder_hidden"),
+        # a flag's value goes through the same cast, through main
+        ("--lr abc", "lr"), ("--latent-dim x", "latent_dim"),
+    ])
     def test_config_file_value_that_does_not_cast_names_key_and_file(self, workspace, tmp_path, capsys, line, key):
         root, _ = workspace
-        conf = tmp_path / "run.conf"
-        conf.write_text(line + "\n")
+        if line.startswith("--"):
+            extra, (source, value) = line.split(), line.split()
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text(line + "\n")
+            extra, source, value = ["--config", str(conf)], conf, line.split("=")[1]
         # no SMALL_NET: its flags would win over the file
         assert main(["train", "--vocab", str(root / "vocab.txt"), "--labelled", str(root / "labelled.tsv"),
-                     "--out-dir", str(tmp_path / "out"), "--config", str(conf)]) == 2
+                     "--out-dir", str(tmp_path / "out"), *extra]) == 2
         err = capsys.readouterr().err
-        assert f"{conf}: bad value {line.split('=')[1]!r} for {key}" in err
+        assert f"{source}: bad value {value!r} for {key}" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags, message", [
@@ -605,3 +636,46 @@ class TestInitCheckpoint:
         err = capsys.readouterr().err
         assert f"{conf}: latent_dim=3 disagrees with the checkpoint" in err
         assert not (tmp_path / "out").exists()
+
+
+def _flags(command):
+    """The long flags `command` takes, but --help."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {o for a in sub.choices[command]._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+
+
+class TestFlags:
+    """Each subcommand takes only the flags it reads, derived from the config classes."""
+
+    @pytest.mark.parametrize("command, own", [
+        ("pretrain", {"--vocab", "--unlabelled", "--out-dir"}),
+        ("train", {"--vocab", "--labelled", "--init-checkpoint", "--out-dir"}),
+    ])
+    def test_training_flags_are_the_config_fields(self, command, own):
+        keys = {f.name for cls in (ModelConfig, LossWeights, TrainingConfig) for f in fields(cls)}
+        keys = keys - {"split_ratio"} | {"split"}
+        assert _flags(command) == own | {"--config", "--verbose"} | {"--" + key.replace("_", "-") for key in keys}
+        assert set(DEFAULTS) == keys - {"seed"} | {"min_freq", "max_merges"}
+
+    @pytest.mark.parametrize("command, flags", [
+        ("mine", {"--corpus", "--out", "--min-freq", "--max-merges", "--config", "--verbose"}),
+        ("predict", {"--vocab", "--checkpoint", "--pairs", "--out", "--verbose"}),
+        ("explain", {"--vocab", "--checkpoint", "--left", "--right", "--out", "--verbose"}),
+    ])
+    def test_mine_and_scoring_take_only_the_flags_they_read(self, command, flags):
+        assert _flags(command) == flags
+
+    @pytest.mark.parametrize("command", ["predict", "explain"])
+    @pytest.mark.parametrize("flag", [["--config", "x"], ["--seed", "1"]])
+    def test_scoring_takes_no_settings(self, trained, tmp_path, capsys, command, flag):
+        root, out = trained
+        argv = [command, "--vocab", str(root / "vocab.txt"), "--checkpoint", str(out / "stage2" / "model.ckpt")]
+        if command == "predict":
+            argv += ["--pairs", str(root / "unlabelled.tsv"), "--out", str(tmp_path / "s.tsv")]
+        else:
+            argv += ["--left", "CCO", "--right", "CCN"]
+        with pytest.raises(SystemExit) as info:
+            main(argv + flag)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "s.tsv").exists()

@@ -1187,6 +1187,9 @@ class TestCheckpoint:
             (with_header(lambda1=0.0), "malformed header"),
             (with_header(beta=math.nan), "malformed header.*beta must be a finite number >= 0, got nan"),
             (with_header(latent_dim=10), "no valid model"),
+            # sizes the arrays do not have are refused before a layer is allocated
+            (with_header(k=10**12), r"'encoder.0.W' is \(8, 10\), model expects \(8, 1000000000000\)"),
+            (with_header(predictor_hidden=[10**12, 6]), "model expects"),
         ]
         path = tmp_path / "bad.ckpt"
         for content, message in cases:
