@@ -173,19 +173,29 @@ def _parse_split(s: Settings) -> tuple[float, float, float]:
     return tuple(v / total for v in nums)
 
 
-def _build(cls, s: Settings, **given):
-    """`cls` from the settings of its fields but those `given`.  A config
-    class refuses a value with a ValueError that starts with the field's
-    name; `main` exits 2 on it.  A refused value set in the config file or
-    CASTER_SEED is named with that source, as `Settings.get` names it."""
+def _sourced(s: Settings, make, *args, **kwargs):
+    """make(*args, **kwargs).  The config classes and CasterModel refuse a
+    value with a ValueError that starts with the setting's name; `main`
+    exits 2 on it.  A refused value set in the config file or CASTER_SEED
+    is named with that source, as `Settings.get` names it."""
     try:
-        return cls(**{f.name: s.get(f.name) for f in fields(cls) if f.name not in given}, **given)
+        return make(*args, **kwargs)
     except ValueError as err:
         key = str(err).split(" ", 1)[0]
         source = s.source(key) if key in _KEYS else None
         if source is None or source.startswith("--"):
             raise
         raise UsageError(f"{source}: {err}") from None
+
+
+def _build(cls, s: Settings, **given):
+    """`cls` from the settings of its fields but those `given`."""
+    return _sourced(s, cls, **{f.name: s.get(f.name) for f in fields(cls) if f.name not in given}, **given)
+
+
+def _new_model(s: Settings, vocab: Vocabulary, weights: LossWeights, seed: int) -> CasterModel:
+    config = _build(ModelConfig, s)
+    return _sourced(s, CasterModel, vocab.k, config, weights, seed=seed, vocab_hash=vocab.content_hash())
 
 
 def _training_config(s: Settings) -> TrainingConfig:
@@ -237,7 +247,7 @@ def cmd_pretrain(args) -> int:
     corpus = load_pair_corpus(args.unlabelled, "unlabelled")
     config = _training_config(s)
     weights = _build(LossWeights, s)
-    model = CasterModel(vocab.k, _build(ModelConfig, s), weights, seed=config.seed, vocab_hash=vocab.content_hash())
+    model = _new_model(s, vocab, weights, config.seed)
     out_dir = Path(args.out_dir)
     _echo_config(out_dir, s, model)
     history = model_mod.pretrain(model, corpus, vocab, config)
@@ -259,9 +269,7 @@ def cmd_train(args) -> int:
         _check_architecture(s, model.config, args.init_checkpoint)
         model.weights = weights
     else:
-        model = CasterModel(
-            vocab.k, _build(ModelConfig, s), weights, seed=config.seed, vocab_hash=vocab.content_hash()
-        )
+        model = _new_model(s, vocab, weights, config.seed)
     out_dir = Path(args.out_dir)
     _echo_config(out_dir, s, model)
     result = model_mod.train(model, corpus, vocab, config)

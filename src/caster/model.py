@@ -31,7 +31,7 @@ import numpy as np
 from . import metrics
 from .corpus import PairCorpus, PairExample
 from .featurize import featurize_pairs, index_rows
-from .nn import MLP, Adam, Identity, LowRank, MultiHot, Parameters, merge_grads, sigmoid, writing
+from .nn import MLP, Adam, Identity, LowRank, MultiHot, Parameters, sigmoid, writing
 from .spm import Vocabulary
 
 log = logging.getLogger(__name__)
@@ -307,13 +307,6 @@ class CasterModel:
         z, _ = self.encoder.forward(x[None] if single else x)
         return z[0] if single else z
 
-    def decode(self, z: np.ndarray) -> np.ndarray:
-        single = z.ndim == 1
-        logits, _ = self.decoder.forward(np.atleast_2d(z))
-        # keep outputs strictly inside (0, 1) even at float saturation
-        xhat = np.clip(sigmoid(logits), _CLAMP, 1.0 - _CLAMP)
-        return xhat[0] if single else xhat
-
     def dictionary_basis(self) -> np.ndarray:
         """d x k basis whose column i is the encoding of single-hot i.
 
@@ -407,13 +400,13 @@ class CasterModel:
 
         grad_Z = np.zeros_like(Z)
         grad_B = np.zeros_like(B)
-        grad_dicts = []
+        grads: dict[str, np.ndarray] = {}
 
         if w.alpha != 0.0:
             g_dec = w.alpha * (Xhat - X) / n
             gz, dec_grads = self.decoder.backward(cache_d, g_dec)
             grad_Z += gz
-            grad_dicts.append(dec_grads)
+            grads.update(dec_grads)
 
         if w.beta != 0.0:
             grad_Z += w.beta * lam1 * Wsol.T / n
@@ -423,7 +416,7 @@ class CasterModel:
             g_logits = (w.gamma * (p - y) / n)[:, None]
             # the gradients of the predictor input's two factors, Wsol^T and magnifier B
             (grad_Wt, grad_mB), pred_grads = self.predictor.backward(cache_p, g_logits)
-            grad_dicts.append(pred_grads)
+            grads.update(pred_grads)
 
             # Back through Wsol = M^{-1} Z^T with M = B B^T + lam1 I.
             grad_B += self.config.magnifier * grad_mB
@@ -436,10 +429,10 @@ class CasterModel:
             # nothing reads the gradient of X or of the identity
             _, enc_from_data = self.encoder.backward(cache_x, grad_Z, input_grad=False)
             _, enc_from_basis = self.encoder.backward(cache_u, grad_B.T, input_grad=False)
-            grad_dicts.extend([enc_from_data, enc_from_basis])
+            grads.update((name, g + enc_from_basis[name]) for name, g in enc_from_data.items())
 
         parts = {"recon": lr_loss, "proj": lp, "clf": lc}
-        return loss, parts, merge_grads(*grad_dicts)
+        return loss, parts, grads
 
 
 # ---------------------------------------------------------------------------
@@ -471,16 +464,21 @@ def _check_both_classes(y: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} split does not contain both classes")
 
 
-def _batches(order: np.ndarray, batch_size: int):
-    for lo in range(0, len(order), batch_size):
-        batch = order[lo : lo + batch_size]
-        if len(batch) >= 2:  # batch norm cannot train on a single sample
-            yield batch
-
-
 # ---------------------------------------------------------------------------
 # Two-stage training
 # ---------------------------------------------------------------------------
+
+def _epoch(model: CasterModel, adam: Adam, X: np.ndarray, y: np.ndarray | None, order: np.ndarray, batch_size: int):
+    """One pass over the rows of X in `order`: a training step and an update
+    per batch, yielding the batch's loss and unweighted loss parts.  A last
+    batch of one row is skipped, since batch norm cannot train on it."""
+    for lo in range(0, len(order), batch_size):
+        batch = order[lo : lo + batch_size]
+        if len(batch) >= 2:
+            loss, parts, grads = model.step(X[batch], None if y is None else y[batch], training=True)
+            adam.step(grads)
+            yield {"loss": loss, **parts}
+
 
 def pretrain(
     model: CasterModel,
@@ -505,10 +503,8 @@ def pretrain_arrays(model: CasterModel, X: np.ndarray, config: TrainingConfig) -
     history: list[dict] = []
     for epoch in range(config.pretrain_epochs):
         order = rng.permutation(X.shape[0])
-        for bi, batch in enumerate(_batches(order, config.batch_size)):
-            loss, parts, grads = model.step(X[batch], None, training=True)
-            adam.step(grads)
-            history.append({"epoch": epoch, "batch": bi, "loss": loss, **parts})
+        for bi, row in enumerate(_epoch(model, adam, X, None, order, config.batch_size)):
+            history.append({"epoch": epoch, "batch": bi, **row})
     return history
 
 
@@ -555,17 +551,9 @@ def train_arrays(model: CasterModel, X: np.ndarray, y: np.ndarray, config: Train
 
     for epoch in range(config.max_epochs):
         order = idx_train[rng.permutation(len(idx_train))]
-        sums = {"loss": 0.0, "recon": 0.0, "proj": 0.0, "clf": 0.0}
-        n_batches = 0
-        for batch in _batches(order, config.batch_size):
-            loss, parts, grads = model.step(X[batch], y[batch], training=True)
-            adam.step(grads)
-            sums["loss"] += loss
-            for key in ("recon", "proj", "clf"):
-                sums[key] += parts[key]
-            n_batches += 1
+        rows = list(_epoch(model, adam, X, y, order, config.batch_size))
         val_auc = metrics.roc_auc(model.predict_pairs(X[idx_val]), y[idx_val])
-        row = {k: v / max(n_batches, 1) for k, v in sums.items()}
+        row = {key: sum(r[key] for r in rows) / len(rows) for key in rows[0]}
         row.update({"epoch": epoch, "val_roc_auc": val_auc})
         history.append(row)
         log.info("epoch %d: loss=%.4f val_roc_auc=%.4f", epoch, row["loss"], val_auc)
@@ -721,7 +709,7 @@ def _read_checkpoint(fh):
     return k, config, weights, stored_hash, state
 
 
-def load_checkpoint(path, vocab: Vocabulary | None = None, expected_vocab_hash: str | None = None) -> CasterModel:
+def load_checkpoint(path, vocab: Vocabulary | None = None) -> CasterModel:
     """Load a checkpoint, refusing a vocabulary whose hash does not match.
 
     A malformed file raises CheckpointError naming `path`; a file that
@@ -730,8 +718,7 @@ def load_checkpoint(path, vocab: Vocabulary | None = None, expected_vocab_hash: 
     try:
         with open(path, "rb") as fh:
             k, config, weights, stored_hash, state = _read_checkpoint(fh)
-        expected = vocab.content_hash() if vocab is not None else expected_vocab_hash
-        if expected is not None and expected != stored_hash:
+        if vocab is not None and (expected := vocab.content_hash()) != stored_hash:
             raise CheckpointError(
                 f"checkpoint was trained against a different vocabulary "
                 f"(stored hash {stored_hash[:12]}..., expected {expected[:12]}...)"

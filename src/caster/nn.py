@@ -440,15 +440,3 @@ class Adam:
                     np.add(b, self.eps, out=b)
                     np.divide(a, b, out=a)
                     p[lo:hi] -= a
-
-
-def merge_grads(*grad_dicts: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Sum gradient dicts, accumulating shared keys."""
-    out: dict[str, np.ndarray] = {}
-    for grads in grad_dicts:
-        for name, g in grads.items():
-            if name in out:
-                out[name] = out[name] + g
-            else:
-                out[name] = g
-    return out

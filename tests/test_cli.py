@@ -532,6 +532,23 @@ class TestSettingsValidation:
         assert "error: " + message.format(conf=conf) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, corpus", [("pretrain", "unlabelled"), ("train", "labelled")])
+    @pytest.mark.parametrize("where", ["file", "flag"])
+    def test_latent_dim_refusal_names_its_source(self, workspace, tmp_path, capsys, command, corpus, where):
+        # the model, not a config class, refuses d >= k
+        root, _ = workspace
+        k = Vocabulary.load(root / "vocab.txt").k
+        conf = tmp_path / "run.conf"
+        conf.write_text("latent_dim=400\n")
+        extra = {"file": ["--config", str(conf)], "flag": ["--latent-dim", "400"]}[where]
+        assert SMALL_NET[:2] == ["--latent-dim", "6"]
+        assert main([command, "--vocab", str(root / "vocab.txt"), f"--{corpus}", str(root / f"{corpus}.tsv"),
+                     "--out-dir", str(tmp_path / "out"), *SMALL_NET[2:], *extra]) == 2
+        message = f"latent_dim must satisfy 0 < d < k, got d=400, k={k}"
+        err = capsys.readouterr().err
+        assert f"error: {conf}: {message}" in err if where == "file" else f"error: {message}\n" == err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mode", ["folds:x", "folds:", "folds:1", "fold:3"])
     def test_bad_split_mode_names_the_setting(self, workspace, tmp_path, capsys, mode):
         conf = tmp_path / "run.conf"

@@ -135,7 +135,11 @@ def reference_step(model, X, y, training=True):
         _, enc_from_basis = model.encoder.backward(cache_u, grad_B.T, input_grad=False)
         grad_dicts.extend([enc_from_data, enc_from_basis])
     parts = {"recon": lr_loss, "proj": lp, "clf": lc}
-    return loss, parts, caster.nn.merge_grads(*grad_dicts)
+    grads = {}
+    for grad_dict in grad_dicts:
+        for name, g in grad_dict.items():
+            grads[name] = grads[name] + g if name in grads else g
+    return loss, parts, grads
 
 
 def oracle_predict_pairs(model, X, chunk=1024):
@@ -442,18 +446,6 @@ class TestModelPieces:
         np.testing.assert_array_equal(a, b)
         assert np.all(np.isfinite(a))
 
-    def test_decode_range_and_midpoint(self, rng):
-        m = tiny_model()
-        with writing(m.decoder.parameters()):
-            for layer in m.decoder.layers:
-                layer.W[...] = 0.0
-                layer.b[...] = 0.0
-        np.testing.assert_allclose(m.decode(rng.normal(size=3)), 0.5)
-        with writing(m.decoder.parameters()):
-            m.decoder.layers[-1].b[...] = 40.0
-        out = m.decode(rng.normal(size=3))
-        assert np.all(out >= 1 - 1e-12) and np.all(out < 1)
-
     def test_zero_predictor_gives_half(self, rng):
         m = tiny_model()
         with writing(m.predictor.parameters()):
@@ -508,6 +500,23 @@ class TestStepGradient:
         report = gradient_check(loss_fn, m.parameters(), tolerance=1e-4, step=1e-5,
                                 max_entries_per_param=20, rng=rng)
         assert report.passed, f"{report.max_rel_error} at {report.worst_param}"
+
+    @pytest.mark.parametrize("weights, labelled, absent", [
+        (LossWeights(), True, ()),
+        (LossWeights(alpha=0.0), True, ("decoder",)),
+        (LossWeights(), False, ("predictor",)),
+    ])
+    def test_gradient_keys_are_the_parameters_that_move(self, rng, weights, labelled, absent):
+        m = tiny_model(k=8, d=3, seed=11, weights=weights)
+        X = (rng.random((5, 8)) < 0.4).astype(float)
+        y = rng.integers(0, 2, 5).astype(float) if labelled else None
+        _, _, grads = m.step(X, y)
+        params = m.parameters()
+        skipped = {name for stack in absent for name in getattr(m, stack).parameters()}
+        assert skipped or not absent
+        assert grads.keys() == params.keys() - skipped
+        for name, g in grads.items():
+            assert g.shape == params[name].shape
 
 
 def _closed_form_case(size, rng):
@@ -635,7 +644,51 @@ def _toy_supervised(rng, n=240, k=12):
     return X, y
 
 
+def _record_steps(monkeypatch) -> list:
+    """Wrap CasterModel.step; each call appends (rows, loss, parts)."""
+    calls = []
+    step = CasterModel.step
+
+    def recorded(self, X, y, training=True):
+        out = step(self, X, y, training)
+        calls.append((X.shape[0], out[0], out[1]))
+        return out
+
+    monkeypatch.setattr(CasterModel, "step", recorded)
+    return calls
+
+
 class TestTraining:
+    def test_pretrain_skips_a_last_batch_of_one_row(self, rng, monkeypatch):
+        calls = _record_steps(monkeypatch)
+        X = (rng.random((33, 12)) < 0.35).astype(float)
+        history = pretrain_arrays(tiny_model(k=12, d=4), X, TrainingConfig(batch_size=16, pretrain_epochs=3))
+        assert [(h["epoch"], h["batch"]) for h in history] == [(e, b) for e in range(3) for b in range(2)]
+        assert [rows for rows, _, _ in calls] == [16, 16] * 3
+
+    def _train_33_rows(self, rng, monkeypatch):
+        """A labelled run whose training split has 33 rows, batch 16, and
+        the steps it took."""
+        calls = _record_steps(monkeypatch)
+        X, y = _toy_supervised(rng, n=47)
+        result = train_arrays(tiny_model(k=12, d=4), X, y,
+                              TrainingConfig(batch_size=16, max_epochs=3, patience=5, seed=2))
+        assert len(result.split["train"]) == 33 and len(result.history) == 3
+        return result.history, calls
+
+    def test_train_skips_a_last_batch_of_one_row(self, rng, monkeypatch):
+        _, calls = self._train_33_rows(rng, monkeypatch)
+        assert [rows for rows, _, _ in calls] == [16, 16] * 3
+
+    def test_train_history_is_the_mean_of_the_steps(self, rng, monkeypatch):
+        history, calls = self._train_33_rows(rng, monkeypatch)
+        for epoch, row in enumerate(history):
+            steps = calls[2 * epoch : 2 * epoch + 2]
+            assert row["epoch"] == epoch
+            assert row["loss"] == pytest.approx(math.fsum(loss for _, loss, _ in steps) / 2, rel=1e-12)
+            for key in ("recon", "proj", "clf"):
+                assert row[key] == pytest.approx(math.fsum(parts[key] for _, _, parts in steps) / 2, rel=1e-12)
+
     def test_pretrain_reduces_reconstruction(self, rng):
         m = tiny_model(k=12, d=4)
         X = (rng.random((600, 12)) < 0.35).astype(float)
@@ -1092,9 +1145,14 @@ def saved_checkpoint(tmp_path_factory):
 
 
 class TestCheckpoint:
+    @staticmethod
+    def _vocab(count=1):
+        """A vocabulary of 10 bracket atoms; the hash depends on `count`."""
+        return Vocabulary([], [(f"[C{i}]", count) for i in range(10)], eta=1, ell=0)
+
     def test_roundtrip_preserves_predictions(self, tmp_path, rng):
         m = tiny_model(k=10, d=3, seed=21)
-        m.vocab_hash = "abc123"
+        m.vocab_hash = self._vocab().content_hash()
         X = (rng.random((20, 10)) < 0.4).astype(float)
         y = rng.integers(0, 2, 20).astype(float)
         from caster.nn import Adam
@@ -1105,18 +1163,19 @@ class TestCheckpoint:
             adam.step(grads)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, m)
-        loaded = load_checkpoint(path, expected_vocab_hash="abc123")
+        loaded = load_checkpoint(path, vocab=self._vocab())
         np.testing.assert_allclose(loaded.predict_pairs(X), m.predict_pairs(X), atol=1e-6)
         # the arrays are stored in binary, so the round-trip is exact
         np.testing.assert_array_equal(loaded.predict_pairs(X), m.predict_pairs(X))
 
     def test_vocab_hash_mismatch_refused(self, tmp_path):
         m = tiny_model()
-        m.vocab_hash = "originalhash"
+        m.vocab_hash = self._vocab().content_hash()
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, m)
+        assert self._vocab(2).content_hash() != m.vocab_hash
         with pytest.raises(CheckpointError, match="vocabulary"):
-            load_checkpoint(path, expected_vocab_hash="differenthash")
+            load_checkpoint(path, vocab=self._vocab(2))
 
     def test_layout_is_header_line_raw_arrays_and_crc(self, tmp_path):
         m = tiny_model(seed=4)
