@@ -304,7 +304,7 @@ class CasterModel:
     def encode(self, x: np.ndarray | MultiHot) -> np.ndarray:
         """Latent rows of a batch x, dense or MultiHot, or of one vector (k,)."""
         single = x.ndim == 1
-        z, _ = self.encoder.forward(x[None] if single else x)
+        z = self.encoder.infer(x[None] if single else x)
         return z[0] if single else z
 
     def dictionary_basis(self) -> np.ndarray:
@@ -340,8 +340,9 @@ class CasterModel:
 
     def predict_pairs(self, X: np.ndarray | MultiHot) -> np.ndarray:
         """Interaction probabilities for a batch of functional vectors, dense
-        or MultiHot, with inference-mode batch norm, scored `_PREDICT_ROWS`
-        rows at a time.
+        or MultiHot, scored `_PREDICT_ROWS` rows at a time through the
+        encoder's and the predictor's `MLP.infer`, inference-mode batch norm
+        as a per-feature scale and shift.
 
         The predictor reads the magnified coefficients Z P as
         LowRank(Z, magnifier P), so no (rows, k) array is formed; from
@@ -352,8 +353,7 @@ class CasterModel:
         V = self.config.magnifier * self.scorer().P
         out = np.empty(X.shape[0], dtype=np.float64)
         for lo in range(0, X.shape[0], _PREDICT_ROWS):
-            Z = self.encode(X[lo : lo + _PREDICT_ROWS])
-            logits, _ = self.predictor.forward(LowRank(Z, V), training=False)
+            logits = self.predictor.infer(LowRank(self.encode(X[lo : lo + _PREDICT_ROWS]), V))
             out[lo : lo + _PREDICT_ROWS] = sigmoid(logits[:, 0])
         return out
 
@@ -382,7 +382,7 @@ class CasterModel:
         lp = 0.5 * lam1 * float((Z * Wsol.T).sum(axis=1).mean()) + w.lambda2 * float((B**2).sum())
 
         dec_logits, cache_d = self.decoder.forward(Z, training)
-        Xhat = sigmoid(dec_logits)
+        Xhat = sigmoid(dec_logits, out=dec_logits)
         lr_loss = reconstruction_loss(X, Xhat)
 
         lc = 0.0
@@ -403,7 +403,10 @@ class CasterModel:
         grads: dict[str, np.ndarray] = {}
 
         if w.alpha != 0.0:
-            g_dec = w.alpha * (Xhat - X) / n
+            # alpha (Xhat - X) / n, into Xhat: nothing reads it after this
+            g_dec = np.subtract(Xhat, X, out=Xhat)
+            g_dec *= w.alpha
+            g_dec /= n
             gz, dec_grads = self.decoder.backward(cache_d, g_dec)
             grad_Z += gz
             grads.update(dec_grads)
@@ -429,7 +432,9 @@ class CasterModel:
             # nothing reads the gradient of X or of the identity
             _, enc_from_data = self.encoder.backward(cache_x, grad_Z, input_grad=False)
             _, enc_from_basis = self.encoder.backward(cache_u, grad_B.T, input_grad=False)
-            grads.update((name, g + enc_from_basis[name]) for name, g in enc_from_data.items())
+            for name, g in enc_from_data.items():
+                g += enc_from_basis[name]
+            grads.update(enc_from_data)
 
         parts = {"recon": lr_loss, "proj": lp, "clf": lc}
         return loss, parts, grads
@@ -561,7 +566,8 @@ def train_arrays(model: CasterModel, X: np.ndarray, y: np.ndarray, config: Train
         if val_auc > best_auc:
             best_auc = val_auc
             best_epoch = epoch
-            best_state = model.snapshot()
+            for name, a in model.state_arrays().items():
+                np.copyto(best_state[name], a)
             bad_epochs = 0
         else:
             bad_epochs += 1

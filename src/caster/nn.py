@@ -3,7 +3,7 @@
 Hand-written forward/backward passes for affine layers, ReLU, sigmoid and
 1-D batch normalization, plus a bias-corrected Adam optimizer.  Caches are
 passed explicitly so the same layer can be applied to several inputs
-within one step.  An affine layer also takes three inputs that stand for
+within one step; `MLP.infer`, which scoring uses, keeps none.  An affine layer also takes three inputs that stand for
 matrices it never builds: `Identity` (the n x n identity), `LowRank`
 (a product U @ V of rank d) and, forward only, `MultiHot` (0/1 rows held
 as their index lists).  Double precision throughout.  The
@@ -189,8 +189,6 @@ class Dense:
             raise ValueError(f"expected input of shape (n, {self.in_dim}), got {x.shape}")
         if isinstance(x, Identity):
             return np.add(self.W.T, self.b, order="C")
-        if isinstance(x, LowRank):
-            return x.U @ x.times(self.W) + self.b
         if isinstance(x, MultiHot):
             # gather the rows of W^T, then sum each non-empty row's segment
             y = np.tile(self.b, (x.shape[0], 1))
@@ -198,7 +196,9 @@ class Dense:
             if len(filled):
                 y[filled] += np.add.reduceat(self.W.T[x.indices], x.indptr[filled], axis=0)
             return y
-        return x @ self.W.T + self.b
+        y = x.U @ x.times(self.W) if isinstance(x, LowRank) else x @ self.W.T
+        y += self.b  # into the product: no second (n, out) array
+        return y
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray, input_grad: bool = True):
         """Gradients for the cached input `x`; returns (grad_x, grad_W, grad_b).
@@ -238,13 +238,21 @@ class BatchNorm1d:
             mean = x.mean(axis=0)
             var = x.var(axis=0)  # biased, matches the normalization below
             inv = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mean) * inv
+            xhat = x - mean
             self.running_mean += self.momentum * (mean - self.running_mean)
             self.running_var += self.momentum * (var - self.running_var)
         else:
             inv = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = (x - self.running_mean) * inv
-        return self.gamma * xhat + self.beta, (training, xhat, inv)
+            xhat = x - self.running_mean
+        xhat *= inv
+        y = self.gamma * xhat
+        y += self.beta
+        return y, (training, xhat, inv)
+
+    def scale_shift(self) -> tuple[np.ndarray, np.ndarray]:
+        """Inference mode as x s + c, from the arrays as they are now."""
+        s = self.gamma / np.sqrt(self.running_var + self.eps)
+        return s, self.beta - self.running_mean * s
 
     def backward(self, cache, grad_out: np.ndarray):
         """Returns (grad_x, grad_gamma, grad_beta) for the cached forward call."""
@@ -253,13 +261,18 @@ class BatchNorm1d:
         grad_beta = grad_out.sum(axis=0)
         dxhat = grad_out * self.gamma
         if training:
+            # (inv / n) (n dxhat - sum(dxhat) - xhat sum(dxhat xhat)), term by
+            # term into dxhat, with one scratch array for the two products by xhat
             n = xhat.shape[0]
-            grad_x = (inv / n) * (
-                n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-            )
+            scratch = dxhat * xhat
+            total, weighted = dxhat.sum(axis=0), scratch.sum(axis=0)
+            dxhat *= n
+            dxhat -= total
+            dxhat -= np.multiply(xhat, weighted, out=scratch)
+            dxhat *= inv / n
         else:
-            grad_x = dxhat * inv
-        return grad_x, grad_gamma, grad_beta
+            dxhat *= inv
+        return dxhat, grad_gamma, grad_beta
 
 
 class MLP:
@@ -338,7 +351,11 @@ class MLP:
                     setattr(bn, attr, arrays[f"{self.name}.{i}.bn.{attr}"])
 
     def forward(self, x: np.ndarray, training: bool = False):
-        """Returns (output, caches); pass the caches back to `backward`."""
+        """Returns (output, caches); pass the caches back to `backward`.
+
+        caches[i] is (input, batch-norm cache, output) of hidden layer i, the
+        output after its ReLU, which is the next layer's input.
+        """
         caches = []
         h = x
         for i, layer in enumerate(self.layers[:-1]):
@@ -346,10 +363,27 @@ class MLP:
             bn_cache = None
             if self.norms:
                 a, bn_cache = self.norms[i].forward(a, training)
+            np.maximum(a, 0.0, out=a)
             caches.append((h, bn_cache, a))
-            h = relu(a)
+            h = a
         caches.append(h)
         return self.layers[-1].forward(h), caches
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """The output of `forward(x, training=False)`, with no caches: each
+        hidden product takes batch norm as one scale and shift, and the ReLU,
+        in place.  Bit for bit `forward`'s without batch norm; with it, the
+        rounding differs.  Writes to no array it is given or the stack holds.
+        """
+        h = x
+        for i, layer in enumerate(self.layers[:-1]):
+            h = layer.forward(h)
+            if self.norms:
+                s, c = self.norms[i].scale_shift()
+                h *= s
+                h += c
+            np.maximum(h, 0.0, out=h)
+        return self.layers[-1].forward(h)
 
     def backward(self, caches, grad_out: np.ndarray, input_grad: bool = True):
         """Returns (grad_input, grads) for the forward call that built `caches`.
@@ -364,8 +398,8 @@ class MLP:
         grads[f"{self.name}.{last}.W"] = gW
         grads[f"{self.name}.{last}.b"] = gb
         for i in range(last - 1, -1, -1):
-            x_in, bn_cache, pre_relu = caches[i]
-            g = g * (pre_relu > 0)
+            x_in, bn_cache, h_out = caches[i]
+            g *= h_out > 0  # h_out > 0 exactly where its input to the ReLU is
             if self.norms:
                 g, ggamma, gbeta = self.norms[i].backward(bn_cache, g)
                 grads[f"{self.name}.{i}.bn.gamma"] = ggamma

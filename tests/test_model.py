@@ -31,7 +31,7 @@ from caster.model import (
     train,
     train_arrays,
 )
-from caster.nn import Adam, writing
+from caster.nn import Adam, LowRank, MultiHot, writing
 from caster.spm import MergeRule, Vocabulary
 
 from test_nn import gradient_check
@@ -980,6 +980,82 @@ class TestScorer:
             return loaded
 
         self._changed(reload, dtype)
+
+
+def layer_by_layer_predict(model, X):
+    """predict_pairs through `MLP.forward` in inference mode, the path with
+    caches and a batch-norm layer of its own, in one chunk."""
+    V = model.config.magnifier * model.scorer().P
+    Z, _ = model.encoder.forward(X, training=False)
+    logits, _ = model.predictor.forward(LowRank(Z, V), training=False)
+    return caster.nn.sigmoid(logits[:, 0])
+
+
+def as_index_rows(X):
+    """The rows of a dense 0/1 array as a MultiHot."""
+    rows, cols = np.nonzero(X)
+    return MultiHot(np.searchsorted(rows, np.arange(X.shape[0] + 1)), cols, X.shape[1])
+
+
+class TestInferencePass:
+    """Scoring through `MLP.infer`: against the layer-by-layer path, and
+    writing to no input and no model array."""
+
+    def test_paper_size_matches_the_layer_by_layer_path(self):
+        m = CasterModel(1722, ModelConfig(), LossWeights(), seed=0)
+        rng = np.random.default_rng(17)
+        X = (rng.random((400, m.k)) < 17 / m.k).astype(float)
+        # batch norm away from its initial identity: drawn gamma and beta, and
+        # running statistics from training-mode passes over these rows
+        with writing(m.predictor.parameters()):
+            for bn in m.predictor.norms:
+                bn.gamma[...] = rng.uniform(0.5, 1.5, bn.gamma.shape)
+                bn.beta[...] = rng.normal(scale=0.1, size=bn.beta.shape)
+        V = m.config.magnifier * m.scorer().P
+        for _ in range(5):
+            m.predictor.forward(LowRank(m.encode(X), V), training=True)
+        expected = layer_by_layer_predict(m, X)
+        assert np.ptp(expected) > 0.1
+        for rows in (X, as_index_rows(X)):
+            assert np.abs(m.predict_pairs(rows) - expected).max() <= 1e-12
+
+    def test_scoring_writes_to_no_input_and_no_model_array(self):
+        m, vocab, pairs, X = _scorer_case("k300", "float64")
+        rows = index_rows(pairs, vocab)
+        expected = m.predict_pairs(X)
+        arrays = [X, rows.indptr, rows.indices, *m.state_arrays().values()]
+        copies = [a.copy() for a in arrays]
+        for a in arrays:  # a write to any of them raises
+            a.flags.writeable = False
+        np.testing.assert_array_equal(m.predict_pairs(X), expected)
+        assert np.abs(m.predict_pairs(rows) - expected).max() <= 1e-12
+        for ex in pairs:
+            explain_pair(m, ex.left, ex.right, vocab)
+        for a, copy in zip(arrays, copies):
+            np.testing.assert_array_equal(a, copy)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_step_writes_to_no_input_and_no_parameter(self, rng, training):
+        # a training-mode step moves the running statistics, and nothing else
+        m, X, y = _closed_form_case("k300", rng)
+        params = m.parameters()
+        stats = {n: a for n, a in m.state_arrays().items() if n not in params}
+        before = {n: a.copy() for n, a in m.state_arrays().items()}
+        inputs = [X, y]
+        copies = [a.copy() for a in inputs]
+        for a in inputs:
+            a.flags.writeable = False
+        if not training:
+            for a in stats.values():
+                a.flags.writeable = False
+        m.step(X, y, training)
+        for a, copy in zip(inputs, copies):
+            np.testing.assert_array_equal(a, copy)
+        for name, a in m.state_arrays().items():
+            if training and name in stats:
+                assert np.abs(a - before[name]).max() > 0, name
+            else:
+                np.testing.assert_array_equal(a, before[name], err_msg=name)
 
 
 class TestWriteStamp:

@@ -306,6 +306,15 @@ class TestBatchNorm:
         np.testing.assert_array_equal(bn.running_mean, state[0])
         np.testing.assert_array_equal(bn.running_var, state[1])
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_forward_does_not_write_its_input(self, rng, training):
+        bn = BatchNorm1d(4)
+        x = rng.normal(size=(8, 4))
+        copy = x.copy()
+        x.flags.writeable = False
+        bn.forward(x, training=training)
+        np.testing.assert_array_equal(x, copy)
+
     def test_batch_of_one_rejected(self, rng):
         bn = BatchNorm1d(4)
         with pytest.raises(ValueError):
@@ -403,6 +412,83 @@ class TestMLP:
         a, _ = mlp.forward(x)
         b, _ = mlp.forward(x)
         np.testing.assert_array_equal(a, b)
+
+
+INPUT_FORMS = ["dense", "multi-hot", "low-rank"]
+
+
+def stack_input(form, rng, k=12):
+    """Nine rows of width k as a dense array, a MultiHot (with an empty row) or
+    a rank-3 LowRank."""
+    if form == "dense":
+        return rng.normal(size=(9, k))
+    if form == "multi-hot":
+        return as_multi_hot([set(rng.choice(k, size=s, replace=False)) for s in (0, 1, 2, 3, 4, 5, 6, 2, 1)], k)
+    return LowRank(rng.normal(size=(9, 3)), rng.normal(size=(3, k)))
+
+
+def input_arrays(x):
+    """The arrays an input to a stack is made of."""
+    if isinstance(x, MultiHot):
+        return [x.indptr, x.indices]
+    if isinstance(x, LowRank):
+        return [x.U, x.V]
+    return [x]
+
+
+def batchnorm_stack(rng, k=12):
+    """A batch-norm stack with drawn gamma, beta and running statistics."""
+    mlp = MLP(k, (8, 6), 2, rng, batchnorm=True, name="net")
+    with writing(mlp.parameters()):
+        for bn in mlp.norms:
+            bn.gamma[...] = rng.uniform(0.5, 2.0, bn.gamma.shape)
+            bn.beta[...] = rng.normal(size=bn.beta.shape)
+    for bn in mlp.norms:
+        bn.running_mean[...] = rng.normal(scale=2.0, size=bn.running_mean.shape)
+        bn.running_var[...] = rng.uniform(0.05, 4.0, bn.running_var.shape)
+    return mlp
+
+
+class TestInfer:
+    """MLP.infer against forward(x, training=False), whose output it gives
+    without caches."""
+
+    @pytest.mark.parametrize("form", INPUT_FORMS)
+    def test_bit_for_bit_without_batchnorm(self, rng, form):
+        # the encoder and the decoder
+        mlp = MLP(12, (8, 6), 3, rng)
+        x = stack_input(form, rng)
+        np.testing.assert_array_equal(mlp.infer(x), mlp.forward(x, training=False)[0])
+
+    @pytest.mark.parametrize("form", INPUT_FORMS)
+    def test_batchnorm_within_rounding(self, rng, form):
+        # the predictor: batch norm as one scale and one shift rounds differently
+        mlp = batchnorm_stack(rng)
+        x = stack_input(form, rng)
+        expected, _ = mlp.forward(x, training=False)
+        assert np.abs(mlp.infer(x) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_reads_the_running_statistics_live(self, rng):
+        mlp = batchnorm_stack(rng)
+        x = stack_input("dense", rng)
+        before = mlp.infer(x)
+        mlp.norms[0].running_mean += 1.0
+        after = mlp.infer(x)
+        assert np.abs(after - before).max() > 0
+        expected, _ = mlp.forward(x, training=False)
+        assert np.abs(after - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("form", INPUT_FORMS)
+    def test_writes_to_no_input_and_no_model_array(self, rng, form):
+        mlp = batchnorm_stack(rng)
+        x = stack_input(form, rng)
+        arrays = [*input_arrays(x), *mlp.state_arrays().values()]
+        copies = [a.copy() for a in arrays]
+        for a in arrays:  # a write to any of them raises
+            a.flags.writeable = False
+        mlp.infer(x)
+        for a, copy in zip(arrays, copies):
+            np.testing.assert_array_equal(a, copy)
 
 
 class TestAdam:
