@@ -359,7 +359,7 @@ class CasterModel:
 
     # -- one training step (forward + analytic backward) --------------------
 
-    def step(self, X: np.ndarray, y: np.ndarray | None, training: bool = True):
+    def step(self, X: np.ndarray, y: np.ndarray | None):
         """Aggregated loss and gradients for one batch.
 
         Returns (loss, parts, grads) where parts holds the unweighted
@@ -368,26 +368,26 @@ class CasterModel:
         and dL_proj/dR = 0, so only the classification loss is differentiated
         through the solve.  The predictor reads magnifier R = W^T (magnifier B)
         as a LowRank input and returns the gradients of both factors, so no
-        step forms an (n, k) array.
+        step forms an (n, k) array.  Batch norm trains on the batch.
         """
         w = self.weights
         n = X.shape[0]
         lam1 = w.lambda1
 
-        Z, cache_x = self.encoder.forward(X, training)
-        Brows, cache_u = self.encoder.forward(self._eye, training)
+        Z, cache_x = self.encoder.forward(X)
+        Brows, cache_u = self.encoder.forward(self._eye)
         B = Brows.T
 
         Wsol, factor = _dual_solve(Z, B, lam1)  # (d, n)
         lp = 0.5 * lam1 * float((Z * Wsol.T).sum(axis=1).mean()) + w.lambda2 * float((B**2).sum())
 
-        dec_logits, cache_d = self.decoder.forward(Z, training)
+        dec_logits, cache_d = self.decoder.forward(Z)
         Xhat = sigmoid(dec_logits, out=dec_logits)
         lr_loss = reconstruction_loss(X, Xhat)
 
         lc = 0.0
         if y is not None:
-            logits, cache_p = self.predictor.forward(LowRank(Wsol.T, self.config.magnifier * B), training)
+            logits, cache_p = self.predictor.forward(LowRank(Wsol.T, self.config.magnifier * B))
             p = sigmoid(logits[:, 0])
             lc = classification_loss(p, y)
 
@@ -480,7 +480,7 @@ def _epoch(model: CasterModel, adam: Adam, X: np.ndarray, y: np.ndarray | None, 
     for lo in range(0, len(order), batch_size):
         batch = order[lo : lo + batch_size]
         if len(batch) >= 2:
-            loss, parts, grads = model.step(X[batch], None if y is None else y[batch], training=True)
+            loss, parts, grads = model.step(X[batch], None if y is None else y[batch])
             adam.step(grads)
             yield {"loss": loss, **parts}
 

@@ -1,14 +1,15 @@
 """Minimal dense-network building blocks on numpy.
 
 Hand-written forward/backward passes for affine layers, ReLU, sigmoid and
-1-D batch normalization, plus a bias-corrected Adam optimizer.  Caches are
-passed explicitly so the same layer can be applied to several inputs
-within one step; `MLP.infer`, which scoring uses, keeps none.  An affine layer also takes three inputs that stand for
-matrices it never builds: `Identity` (the n x n identity), `LowRank`
-(a product U @ V of rank d) and, forward only, `MultiHot` (0/1 rows held
-as their index lists).  Double precision throughout.  The
-central-finite-difference gradient checker that verifies these passes
-lives in the tests (`tests/test_nn.py`).
+1-D batch normalization, plus a bias-corrected Adam optimizer.  Forward
+passes train (batch norm moves its running statistics) and pass their
+caches explicitly, so one layer can be applied to several inputs within
+one step; `MLP.infer`, which scoring uses, keeps none.  An affine layer
+also takes three inputs that stand for matrices it never builds:
+`Identity` (the n x n identity), `LowRank` (a product U @ V of rank d) and,
+forward only, `MultiHot` (0/1 rows held as their index lists).  Double
+precision throughout.  The central-finite-difference gradient checker that
+verifies these passes lives in the tests (`tests/test_nn.py`).
 
 An MLP's trainable arrays are read-only.  They change only inside
 `writing`, which stamps the stack with a new generation, so whatever is
@@ -24,10 +25,6 @@ from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import expit as sigmoid  # numerically stable logistic
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
 
 
 def glorot_uniform(out_dim: int, in_dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -220,7 +217,8 @@ class Dense:
 
 
 class BatchNorm1d:
-    """Per-feature normalization with running statistics for inference."""
+    """Per-feature normalization over the batch, moving the running
+    statistics; `scale_shift` is inference mode, the affine map they define."""
 
     momentum = 0.1
     eps = 1e-5
@@ -231,23 +229,19 @@ class BatchNorm1d:
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
-    def forward(self, x: np.ndarray, training: bool):
-        if training:
-            if x.shape[0] < 2:
-                raise ValueError("batch normalization needs batch size >= 2 in training mode")
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)  # biased, matches the normalization below
-            inv = 1.0 / np.sqrt(var + self.eps)
-            xhat = x - mean
-            self.running_mean += self.momentum * (mean - self.running_mean)
-            self.running_var += self.momentum * (var - self.running_var)
-        else:
-            inv = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = x - self.running_mean
+    def forward(self, x: np.ndarray):
+        if x.shape[0] < 2:
+            raise ValueError("batch normalization needs batch size >= 2")
+        mean = x.mean(axis=0)
+        var = x.var(axis=0)  # biased, matches the normalization below
+        inv = 1.0 / np.sqrt(var + self.eps)
+        xhat = x - mean
         xhat *= inv
+        self.running_mean += self.momentum * (mean - self.running_mean)
+        self.running_var += self.momentum * (var - self.running_var)
         y = self.gamma * xhat
         y += self.beta
-        return y, (training, xhat, inv)
+        return y, (xhat, inv)
 
     def scale_shift(self) -> tuple[np.ndarray, np.ndarray]:
         """Inference mode as x s + c, from the arrays as they are now."""
@@ -256,22 +250,19 @@ class BatchNorm1d:
 
     def backward(self, cache, grad_out: np.ndarray):
         """Returns (grad_x, grad_gamma, grad_beta) for the cached forward call."""
-        training, xhat, inv = cache
+        xhat, inv = cache
         grad_gamma = (grad_out * xhat).sum(axis=0)
         grad_beta = grad_out.sum(axis=0)
         dxhat = grad_out * self.gamma
-        if training:
-            # (inv / n) (n dxhat - sum(dxhat) - xhat sum(dxhat xhat)), term by
-            # term into dxhat, with one scratch array for the two products by xhat
-            n = xhat.shape[0]
-            scratch = dxhat * xhat
-            total, weighted = dxhat.sum(axis=0), scratch.sum(axis=0)
-            dxhat *= n
-            dxhat -= total
-            dxhat -= np.multiply(xhat, weighted, out=scratch)
-            dxhat *= inv / n
-        else:
-            dxhat *= inv
+        # (inv / n) (n dxhat - sum(dxhat) - xhat sum(dxhat xhat)), term by
+        # term into dxhat, with one scratch array for the two products by xhat
+        n = xhat.shape[0]
+        scratch = dxhat * xhat
+        total, weighted = dxhat.sum(axis=0), scratch.sum(axis=0)
+        dxhat *= n
+        dxhat -= total
+        dxhat -= np.multiply(xhat, weighted, out=scratch)
+        dxhat *= inv / n
         return dxhat, grad_gamma, grad_beta
 
 
@@ -350,8 +341,9 @@ class MLP:
                 for attr in ("gamma", "beta", "running_mean", "running_var"):
                     setattr(bn, attr, arrays[f"{self.name}.{i}.bn.{attr}"])
 
-    def forward(self, x: np.ndarray, training: bool = False):
-        """Returns (output, caches); pass the caches back to `backward`.
+    def forward(self, x: np.ndarray):
+        """The training pass: batch norm reads the batch's statistics and
+        moves its running ones.  Returns (output, caches) for `backward`.
 
         caches[i] is (input, batch-norm cache, output) of hidden layer i, the
         output after its ReLU, which is the next layer's input.
@@ -362,7 +354,7 @@ class MLP:
             a = layer.forward(h)
             bn_cache = None
             if self.norms:
-                a, bn_cache = self.norms[i].forward(a, training)
+                a, bn_cache = self.norms[i].forward(a)
             np.maximum(a, 0.0, out=a)
             caches.append((h, bn_cache, a))
             h = a
@@ -370,10 +362,10 @@ class MLP:
         return self.layers[-1].forward(h), caches
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        """The output of `forward(x, training=False)`, with no caches: each
-        hidden product takes batch norm as one scale and shift, and the ReLU,
-        in place.  Bit for bit `forward`'s without batch norm; with it, the
-        rounding differs.  Writes to no array it is given or the stack holds.
+        """The inference pass, with no caches: each hidden product takes
+        batch norm as `scale_shift`'s scale and shift, and the ReLU, in
+        place.  Bit for bit `forward`'s output without batch norm.  Writes
+        to no array it is given or the stack holds.
         """
         h = x
         for i, layer in enumerate(self.layers[:-1]):

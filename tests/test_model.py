@@ -34,7 +34,7 @@ from caster.model import (
 from caster.nn import Adam, LowRank, MultiHot, writing
 from caster.spm import MergeRule, Vocabulary
 
-from test_nn import gradient_check
+from test_nn import gradient_check, inference_oracle
 
 
 @pytest.fixture
@@ -69,7 +69,7 @@ def projection_loss(z, B, r, lambda1: float, lambda2: float) -> float:
     return data_term + coef_term + lambda2 * float((B**2).sum())
 
 
-def reference_step(model, X, y, training=True):
+def reference_step(model, X, y):
     """Oracle for CasterModel.step: the projection loss charged on the n x k
     coefficients R and residual Z - R B^T, and its gradient pushed back
     through the ridge solve with the (zero) gradient of R included."""
@@ -77,8 +77,8 @@ def reference_step(model, X, y, training=True):
     n = X.shape[0]
     lam1 = w.lambda1
 
-    Z, cache_x = model.encoder.forward(X, training)
-    Brows, cache_u = model.encoder.forward(model._eye, training)
+    Z, cache_x = model.encoder.forward(X)
+    Brows, cache_u = model.encoder.forward(model._eye)
     B = Brows.T
 
     Wsol, factor = caster.model._dual_solve(Z, B, lam1)
@@ -91,13 +91,13 @@ def reference_step(model, X, y, training=True):
         + w.lambda2 * float((B**2).sum())
     )
 
-    dec_logits, cache_d = model.decoder.forward(Z, training)
+    dec_logits, cache_d = model.decoder.forward(Z)
     Xhat = caster.nn.sigmoid(dec_logits)
     lr_loss = reconstruction_loss(X, Xhat)
 
     lc = 0.0
     if y is not None:
-        logits, cache_p = model.predictor.forward(model.config.magnifier * R, training)
+        logits, cache_p = model.predictor.forward(model.config.magnifier * R)
         P = caster.nn.sigmoid(logits[:, 0])
         lc = classification_loss(P, y)
 
@@ -144,13 +144,13 @@ def reference_step(model, X, y, training=True):
 
 def oracle_predict_pairs(model, X, chunk=1024):
     """Oracle for predict_pairs: the dictionary basis rebuilt on every call
-    and the (n, k) coefficients fed to the predictor."""
+    and the (n, k) coefficients fed to the textbook inference pass."""
     X = np.atleast_2d(X)
     B = model.dictionary_basis()
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], chunk):
         R = ridge_coefficients(model.encode(X[lo : lo + chunk]), B, model.weights.lambda1)
-        logits, _ = model.predictor.forward(model.config.magnifier * R, training=False)
+        logits = inference_oracle(model.predictor, model.config.magnifier * R)
         out[lo : lo + chunk] = caster.nn.sigmoid(logits[:, 0])
     return out
 
@@ -376,9 +376,9 @@ class TestIdentityFreeBasis:
         oracle._eye = np.eye(oracle.k)  # the encoder multiplies by it
         X = (rng.random((16, 300)) < 0.05).astype(float)
         y = rng.integers(0, 2, 16).astype(float)
-        for labels, training in ((y, True), (None, True), (y, False)):
-            loss, parts, grads = m.step(X, labels, training)
-            oracle_loss, oracle_parts, oracle_grads = oracle.step(X, labels, training)
+        for labels in (y, None):
+            loss, parts, grads = m.step(X, labels)
+            oracle_loss, oracle_parts, oracle_grads = oracle.step(X, labels)
             assert loss == oracle_loss and parts == oracle_parts
             assert grads.keys() == oracle_grads.keys()
             for name, g in oracle_grads.items():
@@ -430,7 +430,7 @@ class TestModelPieces:
 
         adam = Adam(m.parameters(), lr=1e-3)
         for _ in range(3):
-            _, _, grads = m.step(X, y, training=True)
+            _, _, grads = m.step(X, y)
             adam.step(grads)
         B = m.dictionary_basis()
         for i in range(8):
@@ -485,8 +485,6 @@ class TestStepGradient:
         m = tiny_model(k=8, d=3, seed=11)
         X = (rng.random((5, 8)) < 0.4).astype(float)
         y = rng.integers(0, 2, 5).astype(float)
-        for _ in range(2):
-            m.step(X, y, training=True)
         # nudge every parameter off exact zeros so no ReLU sits on its kink
         params = m.parameters()
         with writing(params):
@@ -494,7 +492,7 @@ class TestStepGradient:
                 arr += 0.02 * rng.normal(size=arr.shape)
 
         def loss_fn():
-            loss, _, grads = m.step(X, y, training=False)
+            loss, _, grads = m.step(X, y)
             return loss, grads
 
         report = gradient_check(loss_fn, m.parameters(), tolerance=1e-4, step=1e-5,
@@ -566,10 +564,10 @@ class TestClosedFormProjection:
         m, X, y = _closed_form_case(size, rng)
         snap = m.snapshot()
         feeds_batchnorm = {f"predictor.{i}.b" for i in range(len(m.config.predictor_hidden))}
-        for labels, training in ((y, True), (None, True), (y, False), (None, False)):
-            loss, parts, grads = m.step(X, labels, training)
+        for labels in (y, None):
+            loss, parts, grads = m.step(X, labels)
             m.restore(snap)
-            ref_loss, ref_parts, ref_grads = reference_step(m, X, labels, training)
+            ref_loss, ref_parts, ref_grads = reference_step(m, X, labels)
             m.restore(snap)
             assert (parts["recon"], parts["proj"]) == (ref_parts["recon"], ref_parts["proj"])
             # the predictor reads its input in another order of products
@@ -578,9 +576,9 @@ class TestClosedFormProjection:
             assert grads.keys() == ref_grads.keys()
             for name, ref in ref_grads.items():
                 assert grads[name].dtype == ref.dtype == dtype, name
-                # in training mode a bias that feeds a batch norm has gradient
-                # 0, so both values are rounding noise; scale by its layer's W
-                scale = ref_grads[name[:-1] + "W"] if training and name in feeds_batchnorm else ref
+                # a bias that feeds a batch norm has gradient 0, so both
+                # values are rounding noise; scale by its layer's W
+                scale = ref_grads[name[:-1] + "W"] if name in feeds_batchnorm else ref
                 assert np.abs(grads[name] - ref).max() <= tol * np.abs(scale).max(), name
 
     @pytest.mark.parametrize("size", ["toy", "k300", "paper"])
@@ -599,7 +597,7 @@ class TestClosedFormProjection:
         w = m.weights
         Z, B = m.encode(X), m.dictionary_basis()
         general = projection_loss(Z, B, ridge_coefficients(Z, B, w.lambda1), w.lambda1, w.lambda2)
-        _, parts, _ = m.step(X, None, training=False)
+        _, parts, _ = m.step(X, None)
         assert parts["proj"] == pytest.approx(general, rel=1e-12)
 
     def test_no_step_forms_a_coefficient_matrix(self, rng, monkeypatch):
@@ -618,7 +616,7 @@ class TestClosedFormProjection:
         for labels, expected_solves in ((None, 1), (y, 2)):
             _Tainted.shapes.clear()
             solves.clear()
-            m.step(X, labels, training=True)
+            m.step(X, labels)
             assert _Tainted.shapes and (n, k) not in _Tainted.shapes
             assert len(solves) == expected_solves
         m.scorer()
@@ -649,8 +647,8 @@ def _record_steps(monkeypatch) -> list:
     calls = []
     step = CasterModel.step
 
-    def recorded(self, X, y, training=True):
-        out = step(self, X, y, training)
+    def recorded(self, X, y):
+        out = step(self, X, y)
         calls.append((X.shape[0], out[0], out[1]))
         return out
 
@@ -983,11 +981,11 @@ class TestScorer:
 
 
 def layer_by_layer_predict(model, X):
-    """predict_pairs through `MLP.forward` in inference mode, the path with
-    caches and a batch-norm layer of its own, in one chunk."""
+    """predict_pairs through `inference_oracle`, batch norm written out from
+    the running statistics, in one chunk."""
     V = model.config.magnifier * model.scorer().P
-    Z, _ = model.encoder.forward(X, training=False)
-    logits, _ = model.predictor.forward(LowRank(Z, V), training=False)
+    Z = inference_oracle(model.encoder, X)
+    logits = inference_oracle(model.predictor, LowRank(Z, V))
     return caster.nn.sigmoid(logits[:, 0])
 
 
@@ -1013,7 +1011,7 @@ class TestInferencePass:
                 bn.beta[...] = rng.normal(scale=0.1, size=bn.beta.shape)
         V = m.config.magnifier * m.scorer().P
         for _ in range(5):
-            m.predictor.forward(LowRank(m.encode(X), V), training=True)
+            m.predictor.forward(LowRank(m.encode(X), V))
         expected = layer_by_layer_predict(m, X)
         assert np.ptp(expected) > 0.1
         for rows in (X, as_index_rows(X)):
@@ -1034,9 +1032,8 @@ class TestInferencePass:
         for a, copy in zip(arrays, copies):
             np.testing.assert_array_equal(a, copy)
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_step_writes_to_no_input_and_no_parameter(self, rng, training):
-        # a training-mode step moves the running statistics, and nothing else
+    def test_step_writes_to_no_input_and_no_parameter(self, rng):
+        # a step moves the running statistics, and nothing else
         m, X, y = _closed_form_case("k300", rng)
         params = m.parameters()
         stats = {n: a for n, a in m.state_arrays().items() if n not in params}
@@ -1045,14 +1042,11 @@ class TestInferencePass:
         copies = [a.copy() for a in inputs]
         for a in inputs:
             a.flags.writeable = False
-        if not training:
-            for a in stats.values():
-                a.flags.writeable = False
-        m.step(X, y, training)
+        m.step(X, y)
         for a, copy in zip(inputs, copies):
             np.testing.assert_array_equal(a, copy)
         for name, a in m.state_arrays().items():
-            if training and name in stats:
+            if name in stats:
                 assert np.abs(a - before[name]).max() > 0, name
             else:
                 np.testing.assert_array_equal(a, before[name], err_msg=name)
@@ -1235,7 +1229,7 @@ class TestCheckpoint:
 
         adam = Adam(m.parameters(), lr=1e-3)
         for _ in range(4):
-            _, _, grads = m.step(X, y, training=True)
+            _, _, grads = m.step(X, y)
             adam.step(grads)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, m)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from caster.nn import MLP, Adam, BatchNorm1d, Dense, Identity, LowRank, MultiHot, relu, sigmoid, writing
+from caster.nn import MLP, Adam, BatchNorm1d, Dense, Identity, LowRank, MultiHot, sigmoid, writing
 
 
 @pytest.fixture
@@ -290,54 +290,36 @@ class TestBatchNorm:
         bn = BatchNorm1d(4)
         # variance well above epsilon so the eps shift stays below tolerance
         x = rng.normal(loc=3.0, scale=12.0, size=(64, 4))
-        out, _ = bn.forward(x, training=True)
+        out, _ = bn.forward(x)
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-6)
         np.testing.assert_allclose(out.var(axis=0), 1.0, atol=1e-6)
 
-    def test_inference_is_pure(self, rng):
-        bn = BatchNorm1d(4)
-        for _ in range(10):
-            bn.forward(rng.normal(size=(32, 4)), training=True)
-        x = rng.normal(size=(8, 4))
-        a, _ = bn.forward(x, training=False)
-        state = (bn.running_mean.copy(), bn.running_var.copy())
-        b, _ = bn.forward(x, training=False)
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(bn.running_mean, state[0])
-        np.testing.assert_array_equal(bn.running_var, state[1])
-
-    @pytest.mark.parametrize("training", [True, False])
-    def test_forward_does_not_write_its_input(self, rng, training):
+    def test_forward_does_not_write_its_input(self, rng):
         bn = BatchNorm1d(4)
         x = rng.normal(size=(8, 4))
         copy = x.copy()
         x.flags.writeable = False
-        bn.forward(x, training=training)
+        bn.forward(x)
         np.testing.assert_array_equal(x, copy)
 
     def test_batch_of_one_rejected(self, rng):
         bn = BatchNorm1d(4)
         with pytest.raises(ValueError):
-            bn.forward(rng.normal(size=(1, 4)), training=True)
+            bn.forward(rng.normal(size=(1, 4)))
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_backward_matches_finite_differences(self, rng, training):
+    def test_backward_matches_finite_differences(self, rng):
+        # the running statistics move on every call but do not enter the output
         bn = BatchNorm1d(3)
         bn.gamma[...] = rng.normal(size=3)
         bn.beta[...] = rng.normal(size=3)
-        bn.running_mean[...] = rng.normal(size=3)
-        bn.running_var[...] = rng.random(3) + 0.5
         x = rng.normal(size=(7, 3))
         target = rng.normal(size=(7, 3))
-        frozen = (bn.running_mean.copy(), bn.running_var.copy())
 
         def loss():
-            bn.running_mean[...], bn.running_var[...] = frozen  # keep FD pure
-            out, _ = bn.forward(x, training=training)
+            out, _ = bn.forward(x)
             return 0.5 * float(((out - target) ** 2).sum())
 
-        out, cache = bn.forward(x, training=training)
-        bn.running_mean[...], bn.running_var[...] = frozen
+        out, cache = bn.forward(x)
         grad_x, grad_gamma, grad_beta = bn.backward(cache, out - target)
         np.testing.assert_allclose(grad_gamma, fd_grad(loss, bn.gamma), rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(grad_beta, fd_grad(loss, bn.beta), rtol=1e-5, atol=1e-8)
@@ -349,14 +331,10 @@ class TestMLP:
         mlp = MLP(5, (8, 6), 2, rng, batchnorm=True, name="net")
         x = rng.normal(size=(9, 5))
         target = rng.normal(size=(9, 2))
-        # settle running statistics, then check the inference-mode path
-        for _ in range(3):
-            mlp.forward(rng.normal(size=(16, 5)), training=True)
-
         params = mlp.parameters()
 
         def loss_fn():
-            out, caches = mlp.forward(x, training=False)
+            out, caches = mlp.forward(x)
             diff = out - target
             loss = 0.5 * float((diff**2).sum())
             _, grads = mlp.backward(caches, diff)
@@ -365,18 +343,15 @@ class TestMLP:
         report = gradient_check(loss_fn, params, tolerance=1e-4, step=1e-5)
         assert report.passed, f"max rel err {report.max_rel_error} at {report.worst_param}"
 
-    @pytest.mark.parametrize("training", [False, True])
-    def test_backward_through_low_rank_input(self, rng, training):
+    def test_backward_through_low_rank_input(self, rng):
         # the input's two factors are checked as parameters of the loss
         mlp = MLP(7, (8, 6), 2, rng, batchnorm=True, name="net")
-        for _ in range(3):
-            mlp.forward(rng.normal(size=(16, 7)), training=True)
         U, V = rng.normal(size=(9, 3)), rng.normal(size=(3, 7))
         target = rng.normal(size=(9, 2))
         params = {**mlp.parameters(), "U": U, "V": V}
 
         def loss_fn():
-            out, caches = mlp.forward(LowRank(U, V), training=training)
+            out, caches = mlp.forward(LowRank(U, V))
             diff = out - target
             (grad_U, grad_V), grads = mlp.backward(caches, diff)
             return 0.5 * float((diff**2).sum()), {**grads, "U": grad_U, "V": grad_V}
@@ -388,7 +363,7 @@ class TestMLP:
     @pytest.mark.parametrize("hidden", [(), (8, 6)])
     def test_backward_without_input_gradient(self, rng, hidden):
         mlp = MLP(5, hidden, 2, rng, batchnorm=True, name="net")
-        out, caches = mlp.forward(rng.normal(size=(9, 5)), training=True)
+        out, caches = mlp.forward(rng.normal(size=(9, 5)))
         grad_out = rng.normal(size=out.shape)
         grad_x, full = mlp.backward(caches, grad_out)
         skipped_x, skipped = mlp.backward(caches, grad_out, input_grad=False)
@@ -449,23 +424,39 @@ def batchnorm_stack(rng, k=12):
     return mlp
 
 
+def inference_oracle(mlp, x):
+    """Oracle for MLP.infer: the textbook inference pass, layer by layer.
+
+    Each hidden layer is Dense.forward, then batch norm from the running
+    statistics, (a - running_mean) / sqrt(running_var + eps) * gamma + beta,
+    then ReLU.
+    """
+    h = x
+    for i, layer in enumerate(mlp.layers[:-1]):
+        a = layer.forward(h)
+        if mlp.norms:
+            bn = mlp.norms[i]
+            a = (a - bn.running_mean) / np.sqrt(bn.running_var + bn.eps) * bn.gamma + bn.beta
+        h = np.maximum(a, 0.0)
+    return mlp.layers[-1].forward(h)
+
+
 class TestInfer:
-    """MLP.infer against forward(x, training=False), whose output it gives
-    without caches."""
+    """MLP.infer against `inference_oracle`."""
 
     @pytest.mark.parametrize("form", INPUT_FORMS)
     def test_bit_for_bit_without_batchnorm(self, rng, form):
         # the encoder and the decoder
         mlp = MLP(12, (8, 6), 3, rng)
         x = stack_input(form, rng)
-        np.testing.assert_array_equal(mlp.infer(x), mlp.forward(x, training=False)[0])
+        np.testing.assert_array_equal(mlp.infer(x), inference_oracle(mlp, x))
 
     @pytest.mark.parametrize("form", INPUT_FORMS)
     def test_batchnorm_within_rounding(self, rng, form):
         # the predictor: batch norm as one scale and one shift rounds differently
         mlp = batchnorm_stack(rng)
         x = stack_input(form, rng)
-        expected, _ = mlp.forward(x, training=False)
+        expected = inference_oracle(mlp, x)
         assert np.abs(mlp.infer(x) - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_reads_the_running_statistics_live(self, rng):
@@ -475,7 +466,7 @@ class TestInfer:
         mlp.norms[0].running_mean += 1.0
         after = mlp.infer(x)
         assert np.abs(after - before).max() > 0
-        expected, _ = mlp.forward(x, training=False)
+        expected = inference_oracle(mlp, x)
         assert np.abs(after - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("form", INPUT_FORMS)
@@ -582,7 +573,14 @@ class TestGradientCheck:
 
 
 def test_relu_and_sigmoid_basics():
-    np.testing.assert_array_equal(relu(np.array([-2.0, 0.0, 3.0])), [0.0, 0.0, 3.0])
+    # an identity stack shows its hidden ReLU, in the training and the inference pass
+    mlp = MLP(3, (3,), 3, None)
+    with writing(mlp.parameters()):
+        for layer in mlp.layers:
+            layer.W[...] = np.eye(3)
+    x = np.array([[-2.0, 0.0, 3.0]])
+    np.testing.assert_array_equal(mlp.forward(x)[0], [[0.0, 0.0, 3.0]])
+    np.testing.assert_array_equal(mlp.infer(x), [[0.0, 0.0, 3.0]])
     assert sigmoid(0.0) == 0.5
     assert 0.0 < sigmoid(-30.0) < 1e-12 or sigmoid(-30.0) >= 0.0
     np.testing.assert_allclose(sigmoid(np.array([50.0])), 1.0)
