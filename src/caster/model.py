@@ -359,7 +359,7 @@ class CasterModel:
 
     # -- one training step (forward + analytic backward) --------------------
 
-    def step(self, X: np.ndarray, y: np.ndarray | None):
+    def step(self, X: np.ndarray, y: np.ndarray | None, out: dict[str, np.ndarray] | None = None):
         """Aggregated loss and gradients for one batch.
 
         Returns (loss, parts, grads) where parts holds the unweighted
@@ -369,6 +369,11 @@ class CasterModel:
         through the solve.  The predictor reads magnifier R = W^T (magnifier B)
         as a LowRank input and returns the gradients of both factors, so no
         step forms an (n, k) array.  Batch norm trains on the batch.
+
+        `out`, the grads of an earlier step of the same kind (labelled or
+        not, same weights), takes this step's gradients in place of new
+        arrays, which grads then holds: the same values bit for bit, as no
+        array of it is read before it is written.
         """
         w = self.weights
         n = X.shape[0]
@@ -407,7 +412,7 @@ class CasterModel:
             g_dec = np.subtract(Xhat, X, out=Xhat)
             g_dec *= w.alpha
             g_dec /= n
-            gz, dec_grads = self.decoder.backward(cache_d, g_dec)
+            gz, dec_grads = self.decoder.backward(cache_d, g_dec, out=out)
             grad_Z += gz
             grads.update(dec_grads)
 
@@ -418,7 +423,7 @@ class CasterModel:
         if y is not None and w.gamma != 0.0:
             g_logits = (w.gamma * (p - y) / n)[:, None]
             # the gradients of the predictor input's two factors, Wsol^T and magnifier B
-            (grad_Wt, grad_mB), pred_grads = self.predictor.backward(cache_p, g_logits)
+            (grad_Wt, grad_mB), pred_grads = self.predictor.backward(cache_p, g_logits, out=out)
             grads.update(pred_grads)
 
             # Back through Wsol = M^{-1} Z^T with M = B B^T + lam1 I.
@@ -430,7 +435,7 @@ class CasterModel:
 
         if w.alpha != 0.0 or w.beta != 0.0 or (y is not None and w.gamma != 0.0):
             # nothing reads the gradient of X or of the identity
-            _, enc_from_data = self.encoder.backward(cache_x, grad_Z, input_grad=False)
+            _, enc_from_data = self.encoder.backward(cache_x, grad_Z, input_grad=False, out=out)
             _, enc_from_basis = self.encoder.backward(cache_u, grad_B.T, input_grad=False)
             for name, g in enc_from_data.items():
                 g += enc_from_basis[name]
@@ -476,11 +481,16 @@ def _check_both_classes(y: np.ndarray, name: str) -> None:
 def _epoch(model: CasterModel, adam: Adam, X: np.ndarray, y: np.ndarray | None, order: np.ndarray, batch_size: int):
     """One pass over the rows of X in `order`: a training step and an update
     per batch, yielding the batch's loss and unweighted loss parts.  A last
-    batch of one row is skipped, since batch norm cannot train on it."""
+    batch of one row is skipped, since batch norm cannot train on it.
+
+    Each step after the first writes its gradients into the arrays the step
+    before returned, which Adam has read, so one gradient set is alive at a
+    time and none is freed and allocated again per step."""
+    grads = None
     for lo in range(0, len(order), batch_size):
         batch = order[lo : lo + batch_size]
         if len(batch) >= 2:
-            loss, parts, grads = model.step(X[batch], None if y is None else y[batch])
+            loss, parts, grads = model.step(X[batch], None if y is None else y[batch], out=grads)
             adam.step(grads)
             yield {"loss": loss, **parts}
 
@@ -503,6 +513,10 @@ def pretrain(
 
 
 def pretrain_arrays(model: CasterModel, X: np.ndarray, config: TrainingConfig) -> list[dict]:
+    """`pretrain` on the functional vectors X.  Fewer than two rows take no
+    step, since a step needs a batch of two, so any epoch refuses them."""
+    if config.pretrain_epochs and X.shape[0] < 2:
+        raise TrainingError(f"pretraining needs at least 2 unlabelled rows to take a step, got {X.shape[0]}")
     rng = np.random.default_rng(config.seed)
     adam = Adam(model.parameters(), lr=config.lr)
     history: list[dict] = []

@@ -4,7 +4,9 @@ Hand-written forward/backward passes for affine layers, ReLU, sigmoid and
 1-D batch normalization, plus a bias-corrected Adam optimizer.  Forward
 passes train (batch norm moves its running statistics) and pass their
 caches explicitly, so one layer can be applied to several inputs within
-one step; `MLP.infer`, which scoring uses, keeps none.  An affine layer
+one step; `MLP.infer`, which scoring uses, keeps none.  Backward passes
+take numpy's `out=` convention for their parameter gradients, so a
+training loop can write each step's into the last one's.  An affine layer
 also takes three inputs that stand for matrices it never builds:
 `Identity` (the n x n identity), `LowRank` (a product U @ V of rank d) and,
 forward only, `MultiHot` (0/1 rows held as their index lists).  Double
@@ -197,23 +199,29 @@ class Dense:
         y += self.b  # into the product: no second (n, out) array
         return y
 
-    def backward(self, x: np.ndarray, grad_out: np.ndarray, input_grad: bool = True):
+    def backward(self, x: np.ndarray, grad_out: np.ndarray, input_grad: bool = True, out=None):
         """Gradients for the cached input `x`; returns (grad_x, grad_W, grad_b).
 
         grad_x is None when `input_grad` is False, and the pair
-        (grad_U, grad_V) for a LowRank input.
+        (grad_U, grad_V) for a LowRank input.  `out`, a pair of arrays shaped
+        as W and b, takes grad_W and grad_b in place of new arrays; the
+        values are the same bit for bit.
         """
         if grad_out.shape != (x.shape[0], self.out_dim):
             raise ValueError(f"upstream gradient shape {grad_out.shape} does not match output")
         if isinstance(x, MultiHot):
             raise TypeError("a MultiHot input is forward-only; train on the dense array")
+        grad_W, grad_b = (None, None) if out is None else out
         if isinstance(x, LowRank):
             grad_x = (grad_out @ x.times(self.W).T, (x.U.T @ grad_out) @ self.W) if input_grad else None
-            grad_W = (grad_out.T @ x.U) @ x.V
+            grad_W = np.matmul(grad_out.T @ x.U, x.V, out=grad_W)
         else:
             grad_x = grad_out @ self.W if input_grad else None
-            grad_W = grad_out.T if isinstance(x, Identity) else grad_out.T @ x
-        return grad_x, grad_W, grad_out.sum(axis=0)
+            if not isinstance(x, Identity):
+                grad_W = np.matmul(grad_out.T, x, out=grad_W)
+            else:  # a view of grad_out, or its copy into out
+                grad_W = grad_out.T if grad_W is None else np.positive(grad_out.T, out=grad_W)
+        return grad_x, grad_W, grad_out.sum(axis=0, out=grad_b)
 
 
 class BatchNorm1d:
@@ -248,11 +256,14 @@ class BatchNorm1d:
         s = self.gamma / np.sqrt(self.running_var + self.eps)
         return s, self.beta - self.running_mean * s
 
-    def backward(self, cache, grad_out: np.ndarray):
-        """Returns (grad_x, grad_gamma, grad_beta) for the cached forward call."""
+    def backward(self, cache, grad_out: np.ndarray, out=None):
+        """Returns (grad_x, grad_gamma, grad_beta) for the cached forward call;
+        `out`, a pair of arrays shaped as gamma and beta, takes grad_gamma and
+        grad_beta in place of new arrays."""
         xhat, inv = cache
-        grad_gamma = (grad_out * xhat).sum(axis=0)
-        grad_beta = grad_out.sum(axis=0)
+        grad_gamma, grad_beta = (None, None) if out is None else out
+        grad_gamma = (grad_out * xhat).sum(axis=0, out=grad_gamma)
+        grad_beta = grad_out.sum(axis=0, out=grad_beta)
         dxhat = grad_out * self.gamma
         # (inv / n) (n dxhat - sum(dxhat) - xhat sum(dxhat xhat)), term by
         # term into dxhat, with one scratch array for the two products by xhat
@@ -377,26 +388,33 @@ class MLP:
             np.maximum(h, 0.0, out=h)
         return self.layers[-1].forward(h)
 
-    def backward(self, caches, grad_out: np.ndarray, input_grad: bool = True):
+    def backward(self, caches, grad_out: np.ndarray, input_grad: bool = True, out=None):
         """Returns (grad_input, grads) for the forward call that built `caches`.
 
         With `input_grad` False the first layer skips its input gradient and
         grad_input is None; for a LowRank input it is the pair (grad_U, grad_V).
+        `out`, a mapping that holds an array for each name `parameters` lists
+        (other names are ignored), takes the gradients in place of new
+        arrays: grads then holds those arrays.
         """
+
+        def into(i: int, a: str, b: str):
+            return None if out is None else (out[f"{self.name}.{i}.{a}"], out[f"{self.name}.{i}.{b}"])
+
         grads: dict[str, np.ndarray] = {}
         h_last = caches[-1]
         last = len(self.layers) - 1
-        g, gW, gb = self.layers[-1].backward(h_last, grad_out, input_grad or last > 0)
+        g, gW, gb = self.layers[-1].backward(h_last, grad_out, input_grad or last > 0, out=into(last, "W", "b"))
         grads[f"{self.name}.{last}.W"] = gW
         grads[f"{self.name}.{last}.b"] = gb
         for i in range(last - 1, -1, -1):
             x_in, bn_cache, h_out = caches[i]
             g *= h_out > 0  # h_out > 0 exactly where its input to the ReLU is
             if self.norms:
-                g, ggamma, gbeta = self.norms[i].backward(bn_cache, g)
+                g, ggamma, gbeta = self.norms[i].backward(bn_cache, g, out=into(i, "bn.gamma", "bn.beta"))
                 grads[f"{self.name}.{i}.bn.gamma"] = ggamma
                 grads[f"{self.name}.{i}.bn.beta"] = gbeta
-            g, gW, gb = self.layers[i].backward(x_in, g, input_grad or i > 0)
+            g, gW, gb = self.layers[i].backward(x_in, g, input_grad or i > 0, out=into(i, "W", "b"))
             grads[f"{self.name}.{i}.W"] = gW
             grads[f"{self.name}.{i}.b"] = gb
         return g, grads

@@ -343,6 +343,18 @@ class TestPipeline:
         )
         assert used["seed"] == "77"
 
+    def test_pretrain_on_one_row_exits_1(self, workspace, tmp_path, capsys):
+        # one row takes no step: no untrained checkpoint is written
+        root, _ = workspace
+        one = tmp_path / "one.tsv"
+        one.write_text("".join((root / "unlabelled.tsv").read_text().splitlines(keepends=True)[:2]))
+        out = tmp_path / "out"
+        rc = main(["pretrain", "--vocab", str(root / "vocab.txt"), "--unlabelled", str(one),
+                   "--out-dir", str(out), *SMALL_NET])
+        assert rc == 1
+        assert "needs at least 2 unlabelled rows to take a step, got 1" in capsys.readouterr().err
+        assert not (out / "pretrained.ckpt").exists()
+
     def test_single_class_corpus_exits_2(self, workspace, tmp_path):
         root, data = workspace
         bad = tmp_path / "one_class.tsv"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import zlib
 from dataclasses import asdict
 
@@ -20,6 +21,7 @@ from caster.model import (
     LossWeights,
     ModelConfig,
     TrainingConfig,
+    TrainingError,
     classification_loss,
     explain_pair,
     load_checkpoint,
@@ -34,7 +36,7 @@ from caster.model import (
 from caster.nn import Adam, LowRank, MultiHot, writing
 from caster.spm import MergeRule, Vocabulary
 
-from test_nn import gradient_check, inference_oracle
+from test_nn import assert_written, gradient_check, inference_oracle
 
 
 @pytest.fixture
@@ -516,6 +518,25 @@ class TestStepGradient:
         for name, g in grads.items():
             assert g.shape == params[name].shape
 
+    @pytest.mark.parametrize("weights, labelled", [
+        (LossWeights(), True),
+        (LossWeights(), False),
+        (LossWeights(alpha=0.0), True),
+    ])
+    def test_step_into_out_equals_a_fresh_step(self, rng, weights, labelled):
+        # out is an earlier step's gradients, all NaN: a value read before it is written shows
+        m = tiny_model(k=8, d=3, seed=11, weights=weights)
+        X = (rng.random((5, 8)) < 0.4).astype(float)
+        y = rng.integers(0, 2, 5).astype(float) if labelled else None
+        _, _, out = m.step(X, y)
+        for g in out.values():
+            g.fill(np.nan)
+        loss, parts, fresh = m.step(X, y)
+        got_loss, got_parts, got = m.step(X, y, out=out)
+        assert (got_loss, got_parts) == (loss, parts)
+        assert list(got) == list(fresh)
+        assert_written([out[name] for name in got], list(got.values()), list(fresh.values()))
+
 
 def _closed_form_case(size, rng):
     """A model and a multi-hot batch: toy, k=300, or paper scale (the default
@@ -643,14 +664,14 @@ def _toy_supervised(rng, n=240, k=12):
 
 
 def _record_steps(monkeypatch) -> list:
-    """Wrap CasterModel.step; each call appends (rows, loss, parts)."""
+    """Wrap CasterModel.step; each call appends (rows, loss, parts, grads)."""
     calls = []
     step = CasterModel.step
 
-    def recorded(self, X, y):
-        out = step(self, X, y)
-        calls.append((X.shape[0], out[0], out[1]))
-        return out
+    def recorded(self, X, y, out=None):
+        result = step(self, X, y, out=out)
+        calls.append((X.shape[0], *result))
+        return result
 
     monkeypatch.setattr(CasterModel, "step", recorded)
     return calls
@@ -662,7 +683,7 @@ class TestTraining:
         X = (rng.random((33, 12)) < 0.35).astype(float)
         history = pretrain_arrays(tiny_model(k=12, d=4), X, TrainingConfig(batch_size=16, pretrain_epochs=3))
         assert [(h["epoch"], h["batch"]) for h in history] == [(e, b) for e in range(3) for b in range(2)]
-        assert [rows for rows, _, _ in calls] == [16, 16] * 3
+        assert [rows for rows, *_ in calls] == [16, 16] * 3
 
     def _train_33_rows(self, rng, monkeypatch):
         """A labelled run whose training split has 33 rows, batch 16, and
@@ -676,16 +697,52 @@ class TestTraining:
 
     def test_train_skips_a_last_batch_of_one_row(self, rng, monkeypatch):
         _, calls = self._train_33_rows(rng, monkeypatch)
-        assert [rows for rows, _, _ in calls] == [16, 16] * 3
+        assert [rows for rows, *_ in calls] == [16, 16] * 3
 
     def test_train_history_is_the_mean_of_the_steps(self, rng, monkeypatch):
         history, calls = self._train_33_rows(rng, monkeypatch)
         for epoch, row in enumerate(history):
             steps = calls[2 * epoch : 2 * epoch + 2]
             assert row["epoch"] == epoch
-            assert row["loss"] == pytest.approx(math.fsum(loss for _, loss, _ in steps) / 2, rel=1e-12)
+            assert row["loss"] == pytest.approx(math.fsum(loss for _, loss, *_ in steps) / 2, rel=1e-12)
             for key in ("recon", "proj", "clf"):
-                assert row[key] == pytest.approx(math.fsum(parts[key] for _, _, parts in steps) / 2, rel=1e-12)
+                assert row[key] == pytest.approx(math.fsum(parts[key] for _, _, parts, _ in steps) / 2, rel=1e-12)
+
+    def test_pretrain_refuses_rows_that_take_no_step(self, rng):
+        m = tiny_model(k=12, d=4)
+        before = m.snapshot()
+        X = (rng.random((1, 12)) < 0.35).astype(float)
+        with pytest.raises(TrainingError, match="at least 2 unlabelled rows to take a step, got 1"):
+            pretrain_arrays(m, X, TrainingConfig(batch_size=16, pretrain_epochs=3))
+        assert pretrain_arrays(m, X, TrainingConfig(pretrain_epochs=0)) == []
+        for name, a in m.state_arrays().items():
+            np.testing.assert_array_equal(a, before[name], err_msg=name)
+
+    def test_an_epoch_keeps_one_gradient_set(self, rng, monkeypatch):
+        """Every step after the first writes into the first step's gradient
+        arrays, so no step's traced peak holds a second gradient set."""
+        calls = _record_steps(monkeypatch)
+        m = tiny_model(k=300, d=8, encoder_hidden=(64,), decoder_hidden=(64,), predictor_hidden=(64, 64))
+        X = (rng.random((256, 300)) < 0.05).astype(float)
+        y = rng.integers(0, 2, 256).astype(float)
+        epoch = caster.model._epoch(m, Adam(m.parameters()), X, y, np.arange(256), 32)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in epoch:  # each item is one step and its update
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+        finally:
+            tracemalloc.stop()
+        steps = [grads for *_, grads in calls]
+        assert len(peaks) == len(steps) == 8
+        first = steps[0]
+        per_set = sum(g.nbytes for g in first.values())
+        growth = [(peak - peaks[0]) / per_set for peak in peaks]
+        assert max(growth) <= 0.25, growth
+        for grads in steps[1:]:
+            assert list(grads) == list(first)
+            assert all(grads[name] is g for name, g in first.items())
 
     def test_pretrain_reduces_reconstruction(self, rng):
         m = tiny_model(k=12, d=4)

@@ -389,6 +389,64 @@ class TestMLP:
         np.testing.assert_array_equal(a, b)
 
 
+def nan_like(arrays):
+    """Arrays shaped as `arrays`, all NaN, so a value read before it is
+    written survives into the result."""
+    return [np.full_like(a, np.nan) for a in arrays]
+
+
+def assert_written(given, got, fresh):
+    """`got` are the arrays `given`, each holding bit for bit its `fresh`
+    counterpart, with no NaN left."""
+    assert len(given) == len(got) == len(fresh)
+    for o, g, f in zip(given, got, fresh):
+        assert g is o
+        assert g.shape == f.shape and g.tobytes() == f.tobytes()
+        assert not np.isnan(g).any()
+
+
+class TestOutArrays:
+    """A backward pass given `out` writes its parameter gradients into it."""
+
+    @pytest.mark.parametrize("form", ["dense", "low-rank", "identity"])
+    def test_dense(self, rng, form):
+        layer = Dense(12, 5, rng)
+        x = Identity(12) if form == "identity" else stack_input(form, rng)
+        grad_out = rng.normal(size=(x.shape[0], 5))
+        fresh = layer.backward(x, grad_out)
+        out = nan_like([layer.W, layer.b])
+        got = layer.backward(x, grad_out, out=out)
+        assert_written(out, got[1:], fresh[1:])
+        for g, f in zip(got[0], fresh[0]) if form == "low-rank" else [(got[0], fresh[0])]:
+            np.testing.assert_array_equal(g, f)
+
+    def test_batchnorm(self, rng):
+        bn = BatchNorm1d(4)
+        bn.gamma[...] = rng.uniform(0.5, 2.0, 4)
+        _, cache = bn.forward(rng.normal(size=(9, 4)))
+        grad_out = rng.normal(size=(9, 4))
+        fresh = bn.backward(cache, grad_out)
+        out = nan_like([bn.gamma, bn.beta])
+        got = bn.backward(cache, grad_out, out=out)
+        assert_written(out, got[1:], fresh[1:])
+        np.testing.assert_array_equal(got[0], fresh[0])
+
+    @pytest.mark.parametrize("batchnorm", [False, True])
+    def test_mlp(self, rng, batchnorm):
+        mlp = MLP(5, (8, 6), 2, rng, batchnorm=batchnorm, name="net")
+        y, caches = mlp.forward(rng.normal(size=(9, 5)))
+        grad_out = rng.normal(size=y.shape)
+        fresh_x, fresh = mlp.backward(caches, grad_out)
+        names = list(mlp.parameters())
+        out = dict(zip(names, nan_like(mlp.parameters().values())))
+        other = out["other.0.W"] = np.full(3, np.nan)  # another stack's name is left alone
+        got_x, got = mlp.backward(caches, grad_out, out=out)
+        assert list(got) == list(fresh) and sorted(got) == sorted(names)
+        assert_written([out[n] for n in got], list(got.values()), list(fresh.values()))
+        np.testing.assert_array_equal(got_x, fresh_x)
+        assert np.isnan(other).all()
+
+
 INPUT_FORMS = ["dense", "multi-hot", "low-rank"]
 
 
