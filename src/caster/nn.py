@@ -1,17 +1,19 @@
 """Minimal dense-network building blocks on numpy.
 
-Hand-written forward/backward passes for affine layers, ReLU, sigmoid and
-1-D batch normalization, plus a bias-corrected Adam optimizer.  Forward
-passes train (batch norm moves its running statistics) and pass their
-caches explicitly, so one layer can be applied to several inputs within
-one step; `MLP.infer`, which scoring uses, keeps none.  Backward passes
-take numpy's `out=` convention for their parameter gradients, so a
+Hand-written forward/backward passes for affine layers, ReLU and 1-D batch
+normalization, a numpy logistic, and a bias-corrected Adam optimizer.
+Forward passes train (batch norm moves its running statistics) and pass
+their caches explicitly, so one layer can be applied to several inputs
+within one step; `MLP.infer`, which scoring uses, keeps none.  Backward
+passes take numpy's `out=` convention for their parameter gradients, so a
 training loop can write each step's into the last one's.  An affine layer
 also takes three inputs that stand for matrices it never builds:
 `Identity` (the n x n identity), `LowRank` (a product U @ V of rank d) and,
 forward only, `MultiHot` (0/1 rows held as their index lists).  Double
-precision throughout.  The central-finite-difference gradient checker that
-verifies these passes lives in the tests (`tests/test_nn.py`).
+precision throughout, and numpy is the only library: the package imports
+no scipy module, so a process maps one OpenBLAS.  The
+central-finite-difference gradient checker that verifies these passes
+lives in the tests (`tests/test_nn.py`).
 
 An MLP's trainable arrays are read-only.  They change only inside
 `writing`, which stamps the stack with a new generation, so whatever is
@@ -26,7 +28,20 @@ from collections.abc import Mapping
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import expit as sigmoid  # numerically stable logistic
+
+
+def sigmoid(x, out=None):
+    """The logistic 1 / (1 + exp(-x)), elementwise; writes into `out` if given.
+
+    scipy.special.expit's expression, on numpy alone: for x below about
+    -709, exp(-x) overflows to inf without a warning and the result is
+    exactly 0; for x above about 37 it is exactly 1; NaN stays NaN.  A
+    scalar gives a numpy scalar.  Importing scipy.special would map
+    scipy's own OpenBLAS and start its thread in every process.
+    """
+    with np.errstate(over="ignore"):
+        e = np.exp(np.negative(x, out=out), out=out)
+    return np.divide(1.0, np.add(e, 1.0, out=out), out=out)
 
 
 def glorot_uniform(out_dim: int, in_dim: int, rng: np.random.Generator) -> np.ndarray:

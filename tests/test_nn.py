@@ -4,11 +4,13 @@ Also home of `gradient_check`, the finite-difference oracle that
 `test_model.py` and acceptance criterion 2 import.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import expit
 
 from caster.nn import MLP, Adam, BatchNorm1d, Dense, Identity, LowRank, MultiHot, sigmoid, writing
 
@@ -640,5 +642,45 @@ def test_relu_and_sigmoid_basics():
     np.testing.assert_array_equal(mlp.forward(x)[0], [[0.0, 0.0, 3.0]])
     np.testing.assert_array_equal(mlp.infer(x), [[0.0, 0.0, 3.0]])
     assert sigmoid(0.0) == 0.5
-    assert 0.0 < sigmoid(-30.0) < 1e-12 or sigmoid(-30.0) >= 0.0
+    assert 0.0 < sigmoid(-30.0) < 1e-12
     np.testing.assert_allclose(sigmoid(np.array([50.0])), 1.0)
+
+
+class TestSigmoid:
+    """The numpy logistic against scipy's expit, the expression it computes."""
+
+    EDGES = np.array([0.0, 36.7, 709.0, 710.0, 745.0, 746.0, 1e308, np.inf])
+
+    def points(self, rng):
+        return np.concatenate([rng.normal(0.0, 30.0, 20_000), self.EDGES, -self.EDGES])
+
+    def test_matches_expit_within_4_ulp(self, rng):
+        x = self.points(rng)
+        np.testing.assert_array_max_ulp(sigmoid(x), expit(x), maxulp=4)
+
+    def test_extremes_are_exact(self):
+        big = np.array([746.0, 800.0, 1e308, np.inf])
+        np.testing.assert_array_equal(sigmoid(big), 1.0)
+        np.testing.assert_array_equal(sigmoid(-big), 0.0)
+        assert np.isnan(sigmoid(np.array([np.nan]))[0])
+        assert np.isnan(sigmoid(np.nan))
+
+    def test_warns_nothing(self, rng):
+        x = np.append(self.points(rng), np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigmoid(x)
+            sigmoid(-1e308)
+            sigmoid(x.copy(), out=np.empty_like(x))
+
+    def test_in_place_equals_a_fresh_call(self, rng):
+        x = self.points(rng).reshape(-1, 8)
+        fresh = sigmoid(x)
+        a = x.copy()
+        assert sigmoid(a, out=a) is a
+        assert a.tobytes() == fresh.tobytes()
+
+    def test_scalar_gives_a_numpy_scalar(self):
+        y = sigmoid(1.5)
+        assert isinstance(y, np.float64)
+        assert y == expit(1.5)
