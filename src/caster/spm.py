@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from array import array
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -222,7 +223,10 @@ def mine_vocabulary(
     * every string's symbols sit in one array, each string in a run of
       consecutive positions, linked to their neighbours with no link
       across a string boundary.  `where` lists, under each pair, the
-      positions of left symbols that have spelled it;
+      positions of left symbols that have spelled it.  The links and
+      these lists are 32-bit arrays, `array("i")`, so a corpus holds
+      fewer than 2**31 tokens, and a pair's list goes with its count:
+      when the count reaches 0, no listed position still spells the pair;
     * a merge visits its pair's positions in ascending order, so it is
       greedy left to right within each string, and skips a position whose
       two symbols no longer spell the pair.  Symbols only grow, so a pair
@@ -242,16 +246,16 @@ def mine_vocabulary(
     the final segmented corpus is at least `eta`, ordered by descending
     frequency then token text.
     """
-    if not corpus:
-        raise VocabularyError("empty corpus")
     if ell is None:
         ell = DEFAULT_MAX_MERGES
     _check_thresholds(eta, ell)
 
     seq: list[str | None] = [tok for tokens in corpus for tok in tokens]
     n = len(seq)
-    nxt = list(range(1, n + 1))  # n: no next symbol
-    prv = list(range(-1, n - 1))  # -1: no previous symbol
+    if not n:
+        raise VocabularyError("empty corpus: no tokens to mine")
+    nxt = array("i", range(1, n + 1))  # n: no next symbol
+    prv = array("i", range(-1, n - 1))  # -1: no previous symbol
     end = 0
     for tokens in corpus:
         if tokens:
@@ -260,7 +264,7 @@ def mine_vocabulary(
             nxt[end - 1] = n
 
     counts: dict[tuple[str, str], int] = {}
-    where: defaultdict[tuple[str, str], list[int]] = defaultdict(list)
+    where: defaultdict[tuple[str, str], array] = defaultdict(lambda: array("i"))
     for i, j in enumerate(nxt):
         if j < n:
             pair = (seq[i], seq[j])
@@ -319,6 +323,7 @@ def mine_vocabulary(
                     heapq.heappush(heap, (-c, p))
             else:
                 counts.pop(p, None)
+                where.pop(p, None)
         merges.append(MergeRule(left, right, merged, len(merges), count))
 
     freq = Counter(tok for tok in seq if tok is not None)

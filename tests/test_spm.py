@@ -1,6 +1,7 @@
 """Miner and segmenter correctness against naive oracles, plus vocab IO."""
 
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from caster.cli import main
 from caster.corpus import atom_tokenize, load_smiles_corpus
 from caster.spm import MergeRule, Vocabulary, VocabularyError, mine_vocabulary, segment
+from caster.synthetic import compound_pool
 
 
 # --- independent oracle: rescan the whole corpus every iteration -----------
@@ -81,6 +83,10 @@ boundary_corpora = st.lists(st.lists(st.sampled_from(COLLIDING), max_size=3), mi
 # Mined at eta=2: (ab, c) is merged at ranks 0 and 2.
 REPEATED_PAIR_CORPUS = [["ab", "c"]] * 6 + [["a", "b", "c"]] * 3 + [["a", "b"]] * 2
 
+# Mined at eta=2: merging (Y, AB) takes (AB, C) from 3 to 0, so its site
+# list is dropped; merging (A, B) later forms (AB, C) again at 2 new sites.
+DROPPED_PAIR_CORPUS = [["Y", "AB", "C"]] * 3 + [["Y", "AB"]] + [["A", "B", "C"]] * 2
+
 
 def random_corpus(rng, max_strings=50, max_len=20, alphabet=("A", "B", "C", "D")):
     n = rng.integers(1, max_strings + 1)
@@ -114,9 +120,10 @@ class TestMineVocabulary:
         assert rejected.merges == []
         assert rejected.substructures == [("C", 120)]
 
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(VocabularyError):
-            mine_vocabulary([], eta=1)
+    @pytest.mark.parametrize("corpus", [[], [[]], [[], []]])
+    def test_empty_corpus_rejected(self, corpus):
+        with pytest.raises(VocabularyError, match="empty corpus: no tokens to mine"):
+            mine_vocabulary(corpus, eta=1)
 
     def test_unreachable_threshold_rejected(self):
         with pytest.raises(VocabularyError, match="threshold"):
@@ -137,10 +144,12 @@ class TestMineVocabulary:
     @example([["A"], ["B"]] * 5, 1, 25)  # every (A, B) and (B, A) spans two strings
     @example([[], ["A", "B"], [], ["A"], ["B", "A"], ["B"], []] * 3, 1, 25)
     @example([["A", "A"], ["A"], [], ["A", "A", "A"], ["A"]] * 2, 2, 25)
+    @example(DROPPED_PAIR_CORPUS, 2, 25)
     def test_matches_naive_simulator_on_colliding_tokens(self, corpus, eta, ell):
         merges, subs, _ = naive_miner(corpus, eta, ell)
         if not subs:
-            with pytest.raises(VocabularyError, match="threshold"):
+            message = "threshold" if any(corpus) else "empty corpus"
+            with pytest.raises(VocabularyError, match=message):
                 mine_vocabulary(corpus, eta, ell)
             return
         vocab = mine_vocabulary(corpus, eta, ell)
@@ -155,6 +164,22 @@ class TestMineVocabulary:
         ]
         assert vocab.substructures == [("abc", 9), ("ab", 2)]
         assert vocab.merge_ranks()[("ab", "c")] == (0, 2)
+
+    def test_traced_memory_per_position(self):
+        # positions live in 32-bit arrays and a pair's site list goes with
+        # its count: about 142 traced bytes per position, where a miner that
+        # holds positions as Python ints and keeps every list takes 214
+        pool = compound_pool(300, 0, min_len=30, max_len=60, n_fragments=40, fragment_seed=0)
+        corpus = [atom_tokenize(s) for s in pool]
+        positions = sum(map(len, corpus))
+        tracemalloc.start()
+        try:
+            mine_vocabulary(corpus, eta=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert positions == 20_524
+        assert peak / positions < 175
 
     def test_monotone_in_eta(self, rng):
         for _ in range(20):
