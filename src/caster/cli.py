@@ -29,9 +29,8 @@ from .corpus import (
     CorpusFormatError,
     PairExample,
     SmilesParseError,
-    atom_tokenize,
+    _read_smiles,
     load_pair_corpus,
-    load_smiles_corpus,
     undecodable,
 )
 from .featurize import index_rows
@@ -234,8 +233,8 @@ def cmd_mine(args) -> int:
     for key, least in (("min_freq", 1), ("max_merges", 0)):
         if s.get(key) < least:
             raise UsageError(f"{s.name(key)} must be >= {least}, got {s.get(key)}")
-    compounds = load_smiles_corpus(args.corpus)
-    vocab = mine_vocabulary([atom_tokenize(c) for c in compounds], s.get("min_freq"), s.get("max_merges"))
+    _, tokens = _read_smiles(args.corpus)
+    vocab = mine_vocabulary(tokens, s.get("min_freq"), s.get("max_merges"))
     vocab.save(args.out)
     print(f"k={vocab.k} merges={len(vocab.merges)}")
     return 0

@@ -9,6 +9,7 @@ aromaticity checks are performed; strings are assumed pre-canonicalized.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 
 log = logging.getLogger(__name__)
@@ -66,6 +67,20 @@ def undecodable(path, error: type[ValueError]) -> ValueError:
     return error(f"{path}: invalid UTF-8")  # the file changed since the failed read
 
 
+def _char_class(chars) -> str:
+    return "[" + "".join(sorted(map(re.escape, chars))) + "]"
+
+
+# The scanner's greedy left-to-right rule as one alternation, tried in its
+# order: a bracket atom, a %nn ring label (ASCII digits), Cl, Br, then one
+# plain character.  A string the matches do not cover, or whose
+# parentheses do not balance, is one `_scan` refuses.
+_TOKEN = re.compile(
+    rf"\[{_char_class(_BRACKET_CHARS)}+\]|%[0-9][0-9]|Cl|Br|{_char_class(_PLAIN_CHARS - {'%'})}"
+)
+_PAREN = re.compile(r"[()]")
+
+
 def atom_tokenize(smiles: str) -> list[str]:
     """Split a SMILES string into atom/bond tokens.
 
@@ -73,11 +88,34 @@ def atom_tokenize(smiles: str) -> list[str]:
     whole; every other character becomes a single token.  The token list
     concatenates back to the input exactly.
 
+    The tokens are one `findall` of a compiled pattern, accepted when they
+    cover the whole string and its parentheses balance.  Any other string
+    goes to the character scanner `_scan`, which names its fault; the two
+    agree on every string (tests/test_corpus.py).
+
     Raises:
         SmilesParseError: empty input, unbalanced brackets/parentheses,
             malformed ``%`` label, or a character outside the SMILES
             alphabet.  The error names the byte offset.
     """
+    tokens = _TOKEN.findall(smiles)
+    if smiles and len("".join(tokens)) == len(smiles) and _balanced(smiles):
+        return tokens
+    return _scan(smiles)
+
+
+def _balanced(smiles: str) -> bool:
+    depth = 0
+    for p in _PAREN.findall(smiles):
+        depth += 1 if p == "(" else -1
+        if depth < 0:
+            return False
+    return depth == 0
+
+
+def _scan(smiles: str) -> list[str]:
+    """`atom_tokenize` one character at a time: the slow version, which
+    names the first fault of a string the pattern does not accept."""
     if not smiles:
         raise SmilesParseError("empty SMILES string", 0)
 
@@ -106,7 +144,7 @@ def atom_tokenize(smiles: str) -> list[str]:
         elif ch == "]":
             raise SmilesParseError("']' without matching '['", i)
         elif ch == "%":
-            if i + 2 >= n or not (smiles[i + 1].isdigit() and smiles[i + 2].isdigit()):
+            if i + 2 >= n or not ("0" <= smiles[i + 1] <= "9" and "0" <= smiles[i + 2] <= "9"):
                 raise SmilesParseError("'%' must be followed by two digits", i)
             tokens.append(smiles[i : i + 3])
             i += 3
@@ -148,12 +186,15 @@ class PairCorpus:
 
     `rows` holds, for a corpus read by `load_pair_corpus`, the 0-based data
     row of each example in its file (header and blank lines not counted),
-    so a skipped row leaves a gap; it is None for a corpus built in memory.
+    so a skipped row leaves a gap; `tokens` maps each of its compounds to
+    the atom tokens the loader checked it with, so that featurizing does
+    not tokenize it again.  Both are None for a corpus built in memory.
     """
 
     examples: list[PairExample]
     kind: str  # LABELLED or UNLAB
     rows: list[int] | None = field(default=None, compare=False, repr=False)
+    tokens: dict[str, list[str]] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (LABELLED, UNLAB):
@@ -170,6 +211,8 @@ class PairCorpus:
             if k in seen:
                 raise ValueError(f"duplicate unordered pair {k}")
             seen.add(k)
+            if self.tokens is not None and not (ex.left in self.tokens and ex.right in self.tokens):
+                raise ValueError(f"no tokens for a compound of pair {k}")
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -195,14 +238,15 @@ def load_pair_corpus(path, kind: str) -> PairCorpus:
     unlabelled file are ignored with a warning.  Rows whose SMILES do not
     tokenize are skipped and counted; each distinct SMILES is tokenized
     once.  Duplicate unordered pairs are rejected.  The file is read one
-    line at a time.  The corpus's `rows` number its examples by data row.
+    line at a time.  The corpus's `rows` number its examples by data row,
+    and its `tokens` keep each compound's atom tokens.
     """
     if kind not in (LABELLED, UNLAB):
         raise ValueError(f"unknown corpus kind {kind!r}")
     try:
         with open(path, encoding="utf-8") as fh:
             try:
-                examples, rows, skipped = _read_pairs(path, fh, kind)
+                examples, rows, tokens, skipped = _read_pairs(path, fh, kind)
             except CorpusFormatError:
                 # an undecodable byte anywhere in the file is the error
                 # reported, even after a bad row
@@ -213,12 +257,14 @@ def load_pair_corpus(path, kind: str) -> PairCorpus:
     if skipped:
         log.warning("%s: skipped %d rows with unparseable SMILES", path, skipped)
     log.info("%s: loaded %d %s pairs", path, len(examples), kind)
-    return PairCorpus(examples, kind, rows)
+    return PairCorpus(examples, kind, rows, tokens)
 
 
-def _read_pairs(path, fh, kind: str) -> tuple[list[PairExample], list[int], int]:
-    """The examples of an open pair TSV, the data row of each and the
-    number of rows skipped."""
+def _read_pairs(
+    path, fh, kind: str
+) -> tuple[list[PairExample], list[int], dict[str, list[str]], int]:
+    """The examples of an open pair TSV, the data row of each, the tokens
+    of each of their compounds and the number of rows skipped."""
     first = fh.readline()
     if not first:
         raise CorpusFormatError(f"{path}: empty file, header row required")
@@ -243,8 +289,8 @@ def _read_pairs(path, fh, kind: str) -> tuple[list[PairExample], list[int], int]
     examples: list[PairExample] = []
     rows: list[int] = []
     seen: dict[tuple[str, str], int] = {}
-    # the tokenizer's verdict on each distinct SMILES: None or its error
-    verdicts: dict[str, SmilesParseError | None] = {}
+    # the tokenizer's verdict on each distinct SMILES: its tokens or its error
+    verdicts: dict[str, list[str] | SmilesParseError] = {}
     skipped = 0
     data_row = -1
     for lineno, line in enumerate(fh, start=2):
@@ -275,19 +321,20 @@ def _read_pairs(path, fh, kind: str) -> tuple[list[PairExample], list[int], int]
         seen[key] = lineno
         examples.append(ex)
         rows.append(data_row)
-    return examples, rows, skipped
+    tokens = {s: verdicts[s] for ex in examples for s in (ex.left, ex.right)}
+    return examples, rows, tokens, skipped
 
 
-def _verdict(verdicts: dict[str, SmilesParseError | None], smiles: str) -> SmilesParseError | None:
+def _verdict(verdicts: dict[str, list[str] | SmilesParseError], smiles: str) -> SmilesParseError | None:
     """The error tokenizing `smiles` raises, or None; each string is
     tokenized on its first lookup only."""
     if smiles not in verdicts:
         try:
-            atom_tokenize(smiles)
-            verdicts[smiles] = None
+            verdicts[smiles] = atom_tokenize(smiles)
         except SmilesParseError as err:
             verdicts[smiles] = err
-    return verdicts[smiles]
+    verdict = verdicts[smiles]
+    return verdict if isinstance(verdict, SmilesParseError) else None
 
 
 def write_pair_corpus(path, corpus: PairCorpus) -> None:
@@ -308,7 +355,13 @@ def load_smiles_corpus(path) -> list[str]:
 
     Unparseable lines are skipped with a logged count.
     """
+    return _read_smiles(path)[0]
+
+
+def _read_smiles(path) -> tuple[list[str], list[list[str]]]:
+    """`load_smiles_corpus`'s compounds and the atom tokens of each."""
     out: list[str] = []
+    tokens: list[list[str]] = []
     skipped = 0
     try:
         with open(path, encoding="utf-8") as fh:
@@ -317,7 +370,7 @@ def load_smiles_corpus(path) -> list[str]:
                 if not s:
                     continue
                 try:
-                    atom_tokenize(s)
+                    tokens.append(atom_tokenize(s))
                 except SmilesParseError:
                     skipped += 1
                     continue
@@ -327,4 +380,4 @@ def load_smiles_corpus(path) -> list[str]:
     if skipped:
         log.warning("%s: skipped %d unparseable SMILES", path, skipped)
     log.info("%s: loaded %d compounds", path, len(out))
-    return out
+    return out, tokens

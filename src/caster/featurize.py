@@ -24,24 +24,30 @@ from .spm import Vocabulary, segment
 
 def substructure_membership(smiles: str, vocab: Vocabulary) -> set[int]:
     """Indices of vocabulary substructures present in a compound's segmentation."""
-    present = set()
-    for tok in segment(atom_tokenize(smiles), vocab):
-        idx = vocab.index_of(tok)
-        if idx is not None:
-            present.add(idx)
+    return _members(atom_tokenize(smiles), vocab)
+
+
+def _members(tokens: list[str], vocab: Vocabulary) -> set[int]:
+    # one lookup per segment token in the vocabulary's own index; a token
+    # that is no substructure maps to None
+    present = set(map(vocab._index.get, segment(tokens, vocab)))
+    present.discard(None)
     return present
 
 
 def index_rows(pairs: Iterable[PairExample], vocab: Vocabulary) -> MultiHot:
     """The functional vectors of `pairs` as MultiHot rows of sorted indices.
 
-    Each distinct compound is segmented once, however many pairs it is in.
+    Each distinct compound is segmented once, however many pairs it is in;
+    a corpus read by `load_pair_corpus` segments the tokens it was checked
+    with.
     """
     cache: dict[str, set[int]] = {}
+    tokens = pairs.tokens if isinstance(pairs, PairCorpus) else None
 
     def member(s: str) -> set[int]:
         if s not in cache:
-            cache[s] = substructure_membership(s, vocab)
+            cache[s] = substructure_membership(s, vocab) if tokens is None else _members(tokens[s], vocab)
         return cache[s]
 
     indptr = [0]

@@ -170,6 +170,47 @@ class TestPipeline:
                      "--pairs", str(root / "unlabelled.tsv"), "--out", str(tmp_path / "s.tsv")]) == 0
         assert any(isinstance(x, caster.nn.MultiHot) for x in inputs)
 
+    @pytest.mark.parametrize("command", ["predict", "train", "mine"])
+    def test_each_compound_is_tokenized_once(self, trained, tmp_path, monkeypatch, command):
+        # the loader's token lists are the ones featurized (mined, for
+        # `caster mine`); an unparseable compound is tokenized once too
+        import caster.cli
+        import caster.corpus
+        import caster.featurize
+        import caster.model
+
+        root, out = trained
+        text = (root / "labelled.tsv").read_text()
+        tsv = tmp_path / "pairs.tsv"
+        tsv.write_text(text + f"C(C\t{text.splitlines()[1].split()[0]}\t1\n")
+        compounds = tmp_path / "compounds.txt"
+        compounds.write_text((root / "compounds.txt").read_text() + "C(C\n")
+        calls = []
+
+        def counted(smiles):
+            calls.append(smiles)
+            return atom_tokenize(smiles)
+
+        # every caster module that holds the tokenizer, under any name
+        for module in (caster.cli, caster.corpus, caster.featurize, caster.model):
+            for name, value in list(vars(module).items()):
+                if value is atom_tokenize:
+                    monkeypatch.setattr(module, name, counted)
+        vocab, ckpt = str(root / "vocab.txt"), str(out / "stage2" / "model.ckpt")
+        argv = {
+            "predict": ["predict", "--vocab", vocab, "--checkpoint", ckpt, "--pairs", str(tsv),
+                        "--out", str(tmp_path / "s.tsv")],
+            "train": ["train", "--vocab", vocab, "--labelled", str(tsv), "--init-checkpoint", ckpt,
+                      "--out-dir", str(tmp_path / "run"), "--seed", "3", *SMALL_NET],
+            "mine": ["mine", "--corpus", str(compounds), "--min-freq", "25", "--out", str(tmp_path / "v.txt")],
+        }[command]
+        assert main(argv) == 0
+        if command == "mine":
+            expected = compounds.read_text().split()
+        else:
+            expected = {s for line in tsv.read_text().splitlines()[1:] for s in line.split("\t")[:2]}
+        assert sorted(calls) == sorted(expected)
+
     def test_predict_deterministic_reports(self, trained, tmp_path):
         root, out = trained
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"

@@ -11,6 +11,7 @@ from caster.corpus import (
     PairCorpus,
     PairExample,
     SmilesParseError,
+    _scan,
     atom_tokenize,
     load_pair_corpus,
     load_smiles_corpus,
@@ -70,6 +71,10 @@ class TestAtomTokenize:
             ("C%1O", 1),
             ("C(O", 2),
             ("CO)", 2),
+            # a ring label's two digits are ASCII: superscript two and
+            # Arabic-Indic one and two are digits to str.isdigit
+            ("C%\u00b2\u00b2C", 1),
+            ("C%\u0661\u0662C", 1),
         ],
     )
     def test_parse_errors_name_offset(self, bad, offset):
@@ -96,6 +101,51 @@ class TestAtomTokenize:
     def test_lossless_roundtrip(self, tokens):
         s = "".join(tokens)
         assert "".join(atom_tokenize(s)) == s
+
+
+def _outcome(tokenize, s):
+    try:
+        return tokenize(s)
+    except SmilesParseError as err:
+        return str(err), err.offset
+
+
+# Pieces that meet each branch of the scanner: bracket atoms and broken
+# bracket bodies, % labels with ASCII and non-ASCII digits, branches, the
+# letters of Cl and Br alone and together, and characters outside the
+# alphabet (non-ASCII digits included).
+_PIECES = st.one_of(
+    st.sampled_from(["[", "]", "[N+]", "[13CH3]", "[C@@H]", "[]", "[N", "[?]", "[[N]]", "[(]"]),
+    st.sampled_from(["%", "%1", "%12", "%00", "%1a", "%\u00b2", "%\u00b2\u00b2", "%\u0661\u0662"]),
+    st.sampled_from(["(", ")", "C", "l", "B", "r", "Cl", "Br", "c", "N", "O", "1", "2", "=", "#", ".", "*"]),
+    st.sampled_from(["?", " ", "\u00e9", "\u00b2", "\u0661", "+", "@", "H", "-", "\\", "/", "$", ":"]),
+)
+
+
+class TestCompiledTokenizer:
+    """`atom_tokenize` matches one compiled pattern; `_scan` walks the
+    string a character at a time.  Both give the same tokens, or the same
+    error at the same offset."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(_PIECES, max_size=12).map("".join))
+    def test_matches_the_scanner(self, s):
+        assert _outcome(atom_tokenize, s) == _outcome(_scan, s)
+
+    @pytest.mark.parametrize(
+        "bad,message,offset",
+        [
+            ("C[C[N]", "nested '[' inside bracket", 3),
+            ("C[]", "empty bracket expression", 1),
+            ("]C", "']' without matching '['", 0),
+            ("CC%", "'%' must be followed by two digits", 2),
+            ("C%\u00b2\u00b2C", "'%' must be followed by two digits", 1),
+            (")C", "')' without matching '('", 0),
+            ("C(C(N)", "unbalanced '(': missing ')'", 5),
+        ],
+    )
+    def test_each_scanner_fault(self, bad, message, offset):
+        assert _outcome(atom_tokenize, bad) == _outcome(_scan, bad) == (f"{message} (byte offset {offset})", offset)
 
 
 class TestPairCorpusIO:
@@ -179,6 +229,18 @@ class TestPairCorpusIO:
         assert PairCorpus([PairExample("C", "N")], "unlabelled").rows is None
         with pytest.raises(ValueError, match="2 row numbers for 1 examples"):
             PairCorpus([PairExample("C", "N")], "unlabelled", [0, 1])
+
+    def test_tokens_of_each_kept_compound(self, tmp_path):
+        # the tokens the loader checked each compound with; a compound seen
+        # only in a skipped row has none
+        p = tmp_path / "pairs.tsv"
+        p.write_text("smiles_1\tsmiles_2\nCCl\tC[N+]\nCCS\tC(C\nCBr\tCCl\n")
+        corpus = load_pair_corpus(p, "unlabelled")
+        assert corpus.tokens == {"CCl": ["C", "Cl"], "C[N+]": ["C", "[N+]"], "CBr": ["C", "Br"]}
+        assert PairCorpus([PairExample("C", "N")], "unlabelled").tokens is None
+        assert corpus == PairCorpus(corpus.examples, "unlabelled")
+        with pytest.raises(ValueError, match="no tokens for a compound of pair"):
+            PairCorpus([PairExample("C", "N")], "unlabelled", tokens={"C": ["C"]})
 
     def test_roundtrip(self, tmp_path):
         corpus = PairCorpus(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from caster.corpus import PairCorpus, PairExample, atom_tokenize
+from caster.corpus import PairCorpus, PairExample, atom_tokenize, load_pair_corpus, write_pair_corpus
 from caster.featurize import (
     featurize_pairs,
     functional_representation,
@@ -63,6 +63,11 @@ class TestFunctionalRepresentation:
             for i in shared:
                 expected[i] = 1.0
             np.testing.assert_array_equal(x, expected)
+
+    def test_tokens_outside_the_vocabulary_are_dropped(self, vocab):
+        # "S" and the unmerged "C" are no substructures; no None is left behind
+        assert substructure_membership("CCSNC", vocab) == {0, 2}
+        assert substructure_membership("SCS", vocab) == set()
 
     def test_duplicate_tokens_do_not_change_bits(self, vocab):
         once = functional_representation("CCO", "CCO", vocab)
@@ -134,6 +139,30 @@ class TestIndexRows:
         monkeypatch.setattr(caster.featurize, "substructure_membership", counted)
         index_rows(corpus, vocab)
         assert sorted(calls) == corpus.drugs()
+
+    def test_a_loaded_corpus_segments_the_tokens_it_was_read_with(self, mined, monkeypatch, tmp_path):
+        import caster.featurize
+
+        corpus, vocab = mined
+        write_pair_corpus(tmp_path / "pairs.tsv", corpus)
+        loaded = load_pair_corpus(tmp_path / "pairs.tsv", "unlabelled")
+        segmented = []
+
+        def counted(tokens, v):
+            segmented.append("".join(tokens))
+            return segment(tokens, v)
+
+        def refused(smiles):
+            raise AssertionError(f"{smiles} tokenized again")
+
+        monkeypatch.setattr(caster.featurize, "segment", counted)
+        monkeypatch.setattr(caster.featurize, "atom_tokenize", refused)
+        rows = index_rows(loaded, vocab)
+        assert sorted(segmented) == corpus.drugs()
+        monkeypatch.undo()
+        expected = index_rows(corpus, vocab)
+        assert rows.indptr.tolist() == expected.indptr.tolist()
+        assert rows.indices.tolist() == expected.indices.tolist()
 
     def test_functional_representation_is_the_dense_row(self, mined):
         corpus, vocab = mined
