@@ -4,10 +4,12 @@ Flag values take precedence over a ``--config`` key=value file, which in
 turn overrides built-in defaults; the file may set only the keys of
 ``DEFAULTS`` and ``seed``, each once.  The config classes declare each
 setting's default and type: the keys, flags and casts derive from their
-fields, and a subcommand takes only the flags it reads.  ``pretrain`` and
-``train`` are deterministic given ``--seed`` (env var CASTER_SEED is the
-fallback); the effective configuration is echoed into the output
-directory for provenance.
+fields.  ``mine`` takes only the mining keys, ``predict`` and ``explain``
+take no setting, and ``pretrain`` and ``train`` share one flag set, so each
+takes settings that it does not use.  ``pretrain`` and ``train`` are
+deterministic given ``--seed`` (env var CASTER_SEED is the fallback); the
+effective configuration is echoed into the output directory for
+provenance.
 
 Exit codes: 0 success, 1 runtime failure (IO/parse/training), 2
 usage/validation error.

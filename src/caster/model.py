@@ -98,8 +98,6 @@ class TrainingConfig:
     max_epochs: int = 20
     patience: int = 5
     split_ratio: tuple[float, float, float] = (0.7, 0.1, 0.2)
-    split_mode: str = "ratio"  # "ratio" or "folds:<n>"
-    fold_index: int = 0
     seed: int = 0
 
     def __post_init__(self):
@@ -114,17 +112,6 @@ class TrainingConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not all(r > 0 for r in self.split_ratio) or abs(sum(self.split_ratio) - 1.0) > 1e-9:
             raise ValueError("split ratios must be positive and sum to 1")
-        if self.split_mode == "ratio" and self.fold_index != 0:
-            raise ValueError(f"fold_index applies only with split_mode 'folds:<n>', got {self.fold_index}")
-        if self.split_mode != "ratio":
-            try:
-                n_folds = int(self.split_mode[6:]) if self.split_mode.startswith("folds:") else 0
-            except ValueError:
-                n_folds = 0
-            if n_folds < 2:
-                raise ValueError(f"split_mode must be 'ratio' or 'folds:<n>' with n >= 2, got {self.split_mode!r}")
-            if not 0 <= self.fold_index < n_folds:
-                raise ValueError("fold_index out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -450,21 +437,11 @@ class CasterModel:
 # ---------------------------------------------------------------------------
 
 def split_indices(n: int, config: TrainingConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic train/validation/test index split.
-
-    In fold mode the permuted indices are cut into exclusive folds, the
-    configured fold becomes the run's dataset, and the ratio split is
-    applied within it.
-    """
-    rng = np.random.default_rng(config.seed)
-    perm = rng.permutation(n)
-    if config.split_mode.startswith("folds:"):
-        n_folds = int(config.split_mode[6:])
-        perm = np.array_split(perm, n_folds)[config.fold_index]
-    m = len(perm)
+    """Deterministic train/validation/test index split: a seeded permutation cut by ``split_ratio``."""
+    perm = np.random.default_rng(config.seed).permutation(n)
     r_train, r_val, _ = config.split_ratio
-    n_train = int(round(m * r_train))
-    n_val = int(round(m * r_val))
+    n_train = int(round(n * r_train))
+    n_val = int(round(n * r_val))
     return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
 
 

@@ -92,18 +92,23 @@ class Vocabulary:
         for i, rule in enumerate(self.merges):
             if rule.rank != i:
                 raise VocabularyError("merge ranks must be consecutive from 0")
+            if not (rule.left and rule.right):
+                raise VocabularyError(f"merge rank {i} has an empty side: {rule.left!r} + {rule.right!r}")
             if rule.frequency_at_merge < self.eta:
                 raise VocabularyError(
                     f"merge {rule.merged!r} was below the eta={self.eta} threshold"
                 )
-        for tok, freq in self.substructures:
+        self._index = {}
+        for i, (tok, freq) in enumerate(self.substructures):
+            if not tok:
+                raise VocabularyError(f"substructure at index {i} is empty")
             if freq < self.eta:
                 raise VocabularyError(
                     f"substructure {tok!r} has frequency {freq}, below the eta={self.eta} threshold"
                 )
-        self._index = {tok: i for i, (tok, _) in enumerate(self.substructures)}
-        if len(self._index) != len(self.substructures):
-            raise VocabularyError("duplicate substructure tokens")
+            if tok in self._index:
+                raise VocabularyError(f"substructure {tok!r} appears at index {self._index[tok]} and index {i}")
+            self._index[tok] = i
 
     @property
     def k(self) -> int:

@@ -410,15 +410,6 @@ class TestPipeline:
 
 
 class TestMoreCli:
-    def test_fold_split_mode(self, workspace, tmp_path):
-        root, _ = workspace
-        rc = main(["train", "--vocab", str(root / "vocab.txt"),
-                   "--labelled", str(root / "labelled.tsv"),
-                   "--out-dir", str(tmp_path / "out"), "--seed", "4",
-                   "--split-mode", "folds:2", "--fold-index", "1", *SMALL_NET])
-        assert rc == 0
-        assert (tmp_path / "out" / "test_metrics.tsv").exists()
-
     def test_train_reports_byte_identical(self, workspace, tmp_path):
         root, _ = workspace
         outputs = []
@@ -456,6 +447,9 @@ class TestSettingsValidation:
         ("lamda1=0.1", "lamda1"),
         (" Latent_dim = 6", "Latent_dim"),
         ("verbose=1", "verbose"),
+        # settings that no longer exist, as an older config_used.txt records them
+        ("split_mode=ratio", "split_mode"),
+        ("fold_index=0", "fold_index"),
     ])
     def test_unknown_config_key_exits_2(self, workspace, tmp_path, capsys, line, key):
         self._unknown_key(workspace, tmp_path, capsys, f"max_epochs=2\n# comment\n{line}\n", 3, key)
@@ -505,11 +499,16 @@ class TestSettingsValidation:
         used = dict(line.split("=", 1) for line in (out / "config_used.txt").read_text().splitlines())
         assert used == {key: str(value) for key, value in values.items() if key not in ("min_freq", "max_merges")}
 
-    def test_dtype_flag_exits_2(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", [
+        pytest.param(["--dtype", "float32"], id="dtype"),
+        pytest.param(["--split-mode", "folds:2"], id="split-mode"),
+        pytest.param(["--fold-index", "1"], id="fold-index"),
+    ])
+    def test_removed_flag_exits_2(self, workspace, tmp_path, capsys, flag):
         with pytest.raises(SystemExit) as info:
-            self._train(workspace, tmp_path, "--dtype", "float32")
+            self._train(workspace, tmp_path, *flag)
         assert info.value.code == 2
-        assert "unrecognized arguments: --dtype float32" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--encoder-hidden", "--decoder-hidden", "--predictor-hidden"])
     def test_zero_width_layer_exits_2(self, workspace, tmp_path, capsys, flag):
@@ -550,11 +549,6 @@ class TestSettingsValidation:
         monkeypatch.setenv("CASTER_SEED", "abc")
         assert self._train(workspace, tmp_path) == 2
         assert "CASTER_SEED: bad value 'abc' for seed" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_fold_index_outside_fold_mode_exits_2(self, workspace, tmp_path, capsys):
-        assert self._train(workspace, tmp_path, "--fold-index", "1") == 2
-        assert "fold_index applies only with split_mode 'folds:<n>', got 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_config_file_non_finite_weight_exits_2(self, workspace, tmp_path, capsys):
@@ -601,13 +595,6 @@ class TestSettingsValidation:
         err = capsys.readouterr().err
         assert f"error: {conf}: {message}" in err if where == "file" else f"error: {message}\n" == err
         assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("mode", ["folds:x", "folds:", "folds:1", "fold:3"])
-    def test_bad_split_mode_names_the_setting(self, workspace, tmp_path, capsys, mode):
-        conf = tmp_path / "run.conf"
-        conf.write_text(f"split_mode={mode}\n")
-        assert self._train(workspace, tmp_path, "--config", str(conf)) == 2
-        assert f"split_mode must be 'ratio' or 'folds:<n>' with n >= 2, got '{mode}'" in capsys.readouterr().err
 
     def test_undecodable_config_file_names_file_and_line(self, workspace, tmp_path, capsys):
         conf = tmp_path / "run.conf"
@@ -715,7 +702,8 @@ def _flags(command):
 
 
 class TestFlags:
-    """Each subcommand takes only the flags it reads, derived from the config classes."""
+    """The flags derive from the config classes: `pretrain` and `train` share one set, which
+    holds settings that each does not use; `mine` takes the mining keys; scoring takes none."""
 
     @pytest.mark.parametrize("command, own", [
         ("pretrain", {"--vocab", "--unlabelled", "--out-dir"}),

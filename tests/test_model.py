@@ -824,26 +824,12 @@ class TestSplits:
         assert (len(tr), len(va), len(te)) == (700, 100, 200)
         assert sorted(np.concatenate([tr, va, te])) == list(range(1000))
 
-    def test_fold_mode_partitions(self):
-        folds = []
-        for i in range(5):
-            config = TrainingConfig(seed=3, split_mode="folds:5", fold_index=i)
-            tr, va, te = split_indices(500, config)
-            folds.append(np.concatenate([tr, va, te]))
-        all_idx = np.concatenate(folds)
-        assert len(all_idx) == 500 and len(set(all_idx.tolist())) == 500
-
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
             TrainingConfig(batch_size=1)
         for ratio in ((0.5, 0.2, 0.2), (math.nan, 0.5, 0.5)):
             with pytest.raises(ValueError, match="split ratios"):
                 TrainingConfig(split_ratio=ratio)
-        with pytest.raises(ValueError):
-            TrainingConfig(split_mode="folds:1")
-        # a fold index means nothing to a ratio split
-        with pytest.raises(ValueError, match="fold_index applies only with split_mode 'folds:<n>', got 1"):
-            TrainingConfig(fold_index=1)
         with pytest.raises(ValueError):
             LossWeights(lambda1=0.0)
         with pytest.raises(ValueError):

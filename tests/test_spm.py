@@ -378,6 +378,21 @@ class TestVocabularyFile:
             "line 5: unexpected 'O\\t1' after the substructure section",
             id="line-after-substructures",
         ),
+        pytest.param(
+            "spm-vocab v1 eta=1 ell=5\n\tC\t3\n\n\t3\nC\t2\n",
+            "merge rank 0 has an empty side: '' + 'C'",
+            id="empty-merge-side",
+        ),
+        pytest.param(
+            "spm-vocab v1 eta=1 ell=5\n\nC\t3\n\t3\n",
+            "substructure at index 1 is empty",
+            id="empty-substructure",
+        ),
+        pytest.param(
+            "spm-vocab v1 eta=1 ell=5\n\nC\t3\nO\t2\nC\t2\n",
+            "substructure 'C' appears at index 0 and index 2",
+            id="repeated-substructure",
+        ),
     ])
     def test_refuses_what_mining_cannot_produce(self, tmp_path, text, message):
         path = tmp_path / "vocab.txt"
